@@ -1,19 +1,31 @@
 """Characteristic classes of virtual bundles via Chern characters.
 
 A :class:`KClass` is a K-theory class on a truncated Chow ring: an integer
-(possibly negative) rank together with the Chern characters Ch_1..Ch_D.  On
-top of it the module provides
+(possibly negative) rank together with the Chern characters Ch_1..Ch_D.
 
-* the Todd class  Td(X) = exp(-sum_{l>=1} B_l(0)/l * Ch_l(X)),
-* the Hirzebruch class  c_t(X) = Ch(lambda_{-t} X^v) * Td(X), defined for
-  any t != 1 through the exponential formula with coefficients s_l(t),
-* the equivariant Euler class  e_q(X) = q^rk * exp(-sum (l-1)!/(-q)^l Ch_l),
-  a finite Laurent polynomial, with an integer weight k substituting
-  q -> k*q throughout,
-* the Todd twist ratio  Td(X (x) O(q)) / Td(X)  for a formal line bundle
-  O(q) of first Chern class q, and
-* a checker for the comparison identity
-  e_q(X) = c_{exp(-q)}(X) * Td(X (x) O(q)) / Td(X).
+Every class here is multiplicative and log-linear (Hirzebruch's
+multiplicative sequences): it is a rank factor times
+
+    exp(sum_{l>=0} phi_l(q) * Ch_l(X)),    Ch_0 = rank,
+
+for a table of scalar Laurent series phi_l.  A product of classes is the
+product of the rank factors times one exp of the summed arguments, and
+e(X)^-1 = e(-X).  The tables are
+
+* Todd class Td(X): phi_l = -B_l(0)/l, rank factor 1;
+* Hirzebruch class c_t(X) = Ch(lambda_{-t} X^v) * Td(X), for rational
+  t != 1 or a series t such as exp(-kq): phi_l = -s_l(t), rank factor
+  (1-t)^rank;
+* equivariant Euler class e_{kq}(X), a finite Laurent polynomial with an
+  integer weight k: phi_l = -(l-1)!/(-kq)^l, rank factor (kq)^rank;
+* Todd twist ratio Td(X (x) O(kq)) / Td(X) for a formal line bundle of
+  first Chern class kq: phi_j = -sum_{n>=1} B_{n+j}(0)/(n+j) (kq)^n/n!,
+  rank factor 1.
+
+The comparison identity e_{kq}(X) = c_{exp(-kq)}(X) * Td(X (x) O(kq))/Td(X)
+is checked in this form: the rank factors on the right multiply to
+(1-e^{-kq})^rank (kq/(1-e^{-kq}))^rank = (kq)^rank, so the right side is
+(kq)^rank times one exp of the Hirzebruch and twist arguments.
 
 Bernoulli values follow the B_1(0) = -1/2 convention (Bernoulli polynomial
 at 0), which is the one compatible with Td(L) = c_1 / (1 - exp(-c_1)).
@@ -24,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
 from .rings import ChowElement, Ring
@@ -37,6 +49,10 @@ from .series import (
     scalar_mul,
     scalar_pow,
 )
+
+# l -> phi_l, the scalar Laurent series multiplying Ch_l (Ch_0 is the rank)
+Table = dict[int, ScalarSeries]
+_SCALARS = Ring([], 0)  # the rationals, for scalar tables
 
 
 @lru_cache(maxsize=None)
@@ -63,24 +79,29 @@ def stirling2(l: int, k: int) -> int:
     return k * stirling2(l - 1, k) + stirling2(l - 1, k - 1)
 
 
-def _formal_u_powers(t: QSeries, k_max: int) -> tuple[dict[int, ScalarSeries], int]:
-    """Powers u, u^2, .., u^{k_max} of u = t/(1-t) for a scalar series t,
-    plus the order the deepest power is reliable to."""
-    if t.q_max is None:
-        raise ValueError("formal t must carry a finite truncation order")
-    data = t.scalar_data()
-    order = t.q_max
-    one_minus: ScalarSeries = {0: Fraction(1)}
-    for e, c in data.items():
-        one_minus[e] = one_minus.get(e, Fraction(0)) - c
-    one_minus = {e: c for e, c in one_minus.items() if c}
-    if not one_minus or min(one_minus) != 1:
-        raise ValueError("formal t must equal 1 + O(q) with an invertible q-term")
-    u = scalar_mul(data, scalar_invert(one_minus, order), order)
+def _hirzebruch_table(t, D: int) -> tuple[Table, int | None, ScalarSeries]:
+    """c_t: phi_l = -s_l(t) (see :func:`hirzebruch_coefficient`) through the
+    powers of u = t/(1-t); the order it is reliable to (None for rational
+    t); and 1 - t, the root of the rank factor."""
+    if isinstance(t, QSeries):
+        if t.q_max is None:
+            raise ValueError("formal t must carry a finite truncation order")
+        order, data = t.q_max, t.scalar_data()
+        one_minus = {e: -c for e, c in data.items() if e}
+        if data.get(0) != 1 or min(one_minus, default=0) != 1:
+            raise ValueError("formal t must equal 1 + O(q) with an invertible q-term")
+        u = scalar_mul(data, scalar_invert(one_minus, order), order)
+        valid = order - 1 - D
+    else:
+        t = Fraction(t)
+        if t == 1:
+            raise ValueError("the Hirzebruch class is undefined at t = 1")
+        one_minus, u, order, valid = {0: 1 - t}, {0: t / (1 - t)} if t else {}, None, None
     powers = {1: u}
-    for k in range(2, k_max + 1):
+    for k in range(2, D + 1):
         powers[k] = scalar_mul(powers[k - 1], u, order)
-    return powers, order - 1 - k_max
+    table = {l: {e: -v for e, v in _assemble_s(l, powers).items()} for l in range(1, D + 1)}
+    return table, valid, one_minus
 
 
 def _assemble_s(l: int, powers: dict[int, ScalarSeries]) -> ScalarSeries:
@@ -114,23 +135,79 @@ def hirzebruch_coefficient(l: int, t):
     """
     if l < 1:
         raise ValueError("index must be positive")
+    table, valid, _ = _hirzebruch_table(t, l)
+    s = {e: -v for e, v in table[l].items()}
     if isinstance(t, QSeries):
-        powers, valid = _formal_u_powers(t, l)
-        return QSeries.from_scalars(t.ring, _assemble_s(l, powers), valid)
-    t = Fraction(t)
-    if t == 1:
-        raise ValueError("the Hirzebruch class is undefined at t = 1")
-    u = t / (1 - t)
-    acc = bernoulli(l) / l
-    sign = (-1) ** l
-    upow = u
-    for k in range(1, l + 1):
-        g = stirling2(l, k)
-        if g:
-            acc = acc + upow * (sign * factorial(k - 1) * g)
-        if k < l:
-            upow = upow * u
-    return acc
+        return QSeries.from_scalars(t.ring, s, valid)
+    return s.get(0, Fraction(0))
+
+
+# -- argument tables ---------------------------------------------------------------
+
+
+def _euler_table(weight: int, D: int) -> Table:
+    """e_{kq}: phi_l = -(l-1)!/(-k q)^l."""
+    return {l: {-l: Fraction(-factorial(l - 1), (-weight) ** l)} for l in range(1, D + 1)}
+
+
+def _todd_table(weight: int, D: int, order: int, first: int) -> Table:
+    """phi_j = -sum_{n=first}^{order} B_{n+j}(0)/(n+j) (kq)^n/n! over n+j >= 1:
+    the equivariant Todd class Td(x (x) O(kq)) for first = 0, the twist
+    ratio Td(x (x) O(kq)) / Td(x) for first = 1."""
+    table: Table = {}
+    for j in range(D + 1):
+        phi = {}
+        for n in range(max(first, 1 - j), order + 1):
+            v = -bernoulli(n + j) / (n + j) * Fraction(weight) ** n / factorial(n)
+            if v:
+                phi[n] = v
+        if phi:
+            table[j] = phi
+    return table
+
+
+def _exp_hirzebruch_table(weight: int, D: int, order: int) -> tuple[Table, int]:
+    """The table of c_t at t = exp(-kq) for the rank factor (kq)^rank, and
+    the order it is reliable to: besides phi_l = -s_l(t) it has the rank
+    row phi_0 = log((1 - exp(-kq))/(kq)) = sum_n B_n(0)/n (kq)^n/n!, which
+    is minus the rank row of the twist table."""
+    order = max(order, 1)  # t must keep its q-term
+    table, valid, _ = _hirzebruch_table(q_exponential(_SCALARS, -weight, order), D)
+    table[0] = {n: -v for n, v in _todd_table(weight, D, order, 1)[0].items()}
+    return table, valid
+
+
+def _euler_rank(ring: Ring, weighted: Iterable[tuple["KClass", int]]) -> QSeries:
+    """prod (k q)^rank, the rank factor of a product of Euler classes."""
+    weighted = list(weighted)
+    if any(int(k) == 0 for _, k in weighted):
+        raise ValueError("equivariant weight must be nonzero")
+    return QSeries.q_power(
+        ring, sum(x.rank for x, _ in weighted), prod(Fraction(k) ** x.rank for x, k in weighted)
+    )
+
+
+def _argument(
+    ring: Ring, terms: Iterable[tuple["KClass", Table]], q_max: int | None = None
+) -> QSeries:
+    """sum over (x, table) of sum_l phi_l(q) * Ch_l(x), with Ch_0 = rank,
+    dropping exponents above q_max."""
+    coeffs: dict[int, ChowElement] = {}
+    for x, table in terms:
+        for l, phi in table.items():
+            c = x.ring.const(x.rank) if l == 0 else x.chern_character(l)
+            for e, v in phi.items():
+                if q_max is None or e <= q_max:
+                    coeffs[e] = c * v + coeffs.get(e, ring.zero())
+    return QSeries(ring, coeffs, q_max)
+
+
+def _log_linear(arg: QSeries, order: int | None = None, rank: QSeries | None = None) -> QSeries:
+    """The multiplicative class rank * exp(arg), reliable up to ``order``
+    at most.  The coefficients of ``arg`` at q^0 and at poles must be
+    nilpotent; ``rank`` is a scalar series (None stands for 1)."""
+    out = arg.exp(order)
+    return out if rank is None else rank * out
 
 
 class KClass:
@@ -241,12 +318,8 @@ def sum_of_roots(ring: Ring, alphas: Iterable[ChowElement]) -> KClass:
 
 def todd(x: KClass) -> ChowElement:
     """Todd class, exp(-sum_{l>=1} B_l(0)/l * Ch_l(x)); Td(L) = 1 + c/2 + c^2/12 + ..."""
-    arg = x.ring.zero()
-    for l in range(1, x.ring.truncation + 1):
-        c = x.chern_character(l)
-        if not c.is_zero:
-            arg = arg - c * (bernoulli(l) / l)
-    return arg.exp()
+    table = _todd_table(0, x.ring.truncation, 0, 0)
+    return _log_linear(_argument(x.ring, [(x, table)])).coefficient(0)
 
 
 def hirzebruch_class(t, x: KClass, q_max: int | None = None):
@@ -260,49 +333,22 @@ def hirzebruch_class(t, x: KClass, q_max: int | None = None):
     (exp(a) - t) / (exp(a) - 1) * a.
     """
     ring = x.ring
-    if isinstance(t, QSeries):
-        if t.ring != ring:
-            raise ValueError("ring mismatch")
-        if t.q_max is None:
-            raise ValueError("formal t must carry a finite truncation order")
-        order = t.q_max
-        out_order = order if q_max is None else min(int(q_max), order)
-        D = ring.truncation
-        powers, valid = _formal_u_powers(t, D)
-        arg_coeffs: dict[int, ChowElement] = {}
-        for l in range(1, D + 1):
-            c = x.chern_character(l)
-            if c.is_zero:
-                continue
-            for e, v in _assemble_s(l, powers).items():
-                add = c * (-v)
-                prev = arg_coeffs.get(e)
-                s = add if prev is None else prev + add
-                if s.is_zero:
-                    arg_coeffs.pop(e, None)
-                else:
-                    arg_coeffs[e] = s
-        part = QSeries(ring, arg_coeffs, valid).exp(out_order)
-        one_minus: ScalarSeries = {0: Fraction(1)}
-        for e, c in t.scalar_data().items():
-            one_minus[e] = one_minus.get(e, Fraction(0)) - c
-        one_minus = {e: c for e, c in one_minus.items() if c}
-        if x.rank >= 0:
-            rank_data = scalar_pow(one_minus, x.rank, out_order)
-            rank_valid = out_order
-        else:
-            rank_data = scalar_pow(scalar_invert(one_minus, order), -x.rank, out_order)
-            rank_valid = min(order - 1 + x.rank, out_order)
-        return QSeries.from_scalars(ring, rank_data, rank_valid) * part
-    t = Fraction(t)
-    if t == 1:
-        raise ValueError("the Hirzebruch class is undefined at t = 1")
-    arg = ring.zero()
-    for l in range(1, ring.truncation + 1):
-        c = x.chern_character(l)
-        if not c.is_zero:
-            arg = arg - c * hirzebruch_coefficient(l, t)
-    return arg.exp() * (1 - t) ** x.rank
+    formal = isinstance(t, QSeries)
+    if formal and t.ring != ring:
+        raise ValueError("ring mismatch")
+    table, valid, one_minus = _hirzebruch_table(t, ring.truncation)
+    if not formal:
+        rank = QSeries.from_scalars(ring, {0: one_minus[0] ** x.rank})
+        return _log_linear(_argument(ring, [(x, table)]), None, rank).coefficient(0)
+    order = t.q_max
+    out_order = order if q_max is None else min(int(q_max), order)
+    if x.rank >= 0:
+        rank_data, rank_valid = scalar_pow(one_minus, x.rank, out_order), out_order
+    else:
+        rank_data = scalar_pow(scalar_invert(one_minus, order), -x.rank, out_order)
+        rank_valid = min(order - 1 + x.rank, out_order)
+    rank = QSeries.from_scalars(ring, rank_data, rank_valid)
+    return _log_linear(_argument(ring, [(x, table)], valid), out_order, rank)
 
 
 def equivariant_euler(x: KClass, weight: int) -> QSeries:
@@ -313,17 +359,9 @@ def equivariant_euler(x: KClass, weight: int) -> QSeries:
     An exact Laurent polynomial; on a bundle with roots a_i it equals
     prod_i (k q + a_i), and it is multiplicative in x.
     """
-    weight = int(weight)
-    if weight == 0:
-        raise ValueError("equivariant weight must be nonzero")
-    ring = x.ring
-    coeffs = {}
-    for l in range(1, ring.truncation + 1):
-        c = x.chern_character(l)
-        if not c.is_zero:
-            coeffs[-l] = c * Fraction(-factorial(l - 1), (-weight) ** l)
-    body = QSeries(ring, coeffs).exp()
-    return (body * Fraction(weight) ** x.rank).shifted(x.rank)
+    rank = _euler_rank(x.ring, [(x, weight)])
+    table = _euler_table(int(weight), x.ring.truncation)
+    return _log_linear(_argument(x.ring, [(x, table)]), None, rank)
 
 
 def todd_twist_ratio(x: KClass, weight: int, q_max: int | None = None) -> QSeries:
@@ -340,17 +378,8 @@ def todd_twist_ratio(x: KClass, weight: int, q_max: int | None = None) -> QSerie
     weight = int(weight)
     if weight == 0 or target < 1:
         return QSeries.one(ring).truncated(max(target, 0))
-    coeffs: dict[int, ChowElement] = {}
-    for n in range(1, target + 1):
-        wn = Fraction(weight) ** n / factorial(n)
-        acc = ring.const(-bernoulli(n) / n * wn * x.rank)
-        for j in range(1, ring.truncation + 1):
-            c = x.chern_character(j)
-            if not c.is_zero:
-                acc = acc - c * (bernoulli(n + j) / (n + j) * wn)
-        if not acc.is_zero:
-            coeffs[n] = acc
-    return QSeries(ring, coeffs, target).exp(target)
+    table = _todd_table(weight, ring.truncation, target, 1)
+    return _log_linear(_argument(ring, [(x, table)], target), target)
 
 
 @dataclass(frozen=True)
@@ -367,21 +396,25 @@ def euler_identity_check(
     x: KClass, weight: int, q_max: int | None = None
 ) -> IdentityCheck:
     """Check  e_{kq}(x) = c_{exp(-kq)}(x) * Td(x (x) O(kq))/Td(x)  up to the
-    requested order; the difference series witnesses a failure."""
+    requested order; the difference series witnesses a failure.
+
+    The right side is (kq)^rank * exp(A + B) for the Hirzebruch argument A
+    at t = exp(-kq) and the twist argument B, whose rank rows cancel: the
+    two rank factors multiply to (kq)^rank exactly."""
     weight = int(weight)
-    if weight == 0:
-        raise ValueError("equivariant weight must be nonzero")
     ring = x.ring
+    D = ring.truncation
     target = ring.q_max if q_max is None else int(q_max)
     lhs = equivariant_euler(x, weight)
 
-    inner = target + ring.truncation + abs(x.rank) + 2
+    rank = _euler_rank(ring, [(x, weight)])
 
     def compute(order: int) -> QSeries:
-        t = q_exponential(ring, -weight, order)
-        return hirzebruch_class(t, x, q_max=inner) * todd_twist_ratio(x, weight, inner)
+        table, valid = _exp_hirzebruch_table(weight, D, order)
+        twist = _todd_table(weight, D, order, 1)
+        arg = _argument(ring, [(x, table), (x, twist)], valid)
+        return _log_linear(arg, target - x.rank, rank)
 
-    margin = 2 * ring.truncation + abs(x.rank) + 6
-    rhs = compute_at_precision(compute, target, margin)
+    rhs = compute_at_precision(compute, target, 2 * D + 2 - x.rank)
     diff = (lhs - rhs).truncated(target)
     return IdentityCheck(equal=diff.is_zero, lhs=lhs, rhs=rhs, difference=diff)

@@ -4,9 +4,12 @@ Grammar (whitespace insignificant):
 
     expr     := term (('+'|'-') term)*
     term     := factor ('*' factor)*
-    factor   := atom ('^' nat)?
-    atom     := '-'? (rational | identifier | '(' expr ')')
+    factor   := '-'* power
+    power    := atom ('^' nat)?
+    atom     := rational | identifier | '(' expr ')'
     rational := nat ('/' nat)?
+
+A unary minus binds looser than '^', so -x^2 is -(x^2), as printed.
 
 Identifiers must be generator names of the target ring.  Terms whose degree
 exceeds the ring truncation silently vanish, consistent with ring
@@ -98,8 +101,12 @@ class _Parser:
             value = value * self.factor()
         return value
 
-    # factor := atom ('^' nat)?
+    # factor := '-'* power;  power := atom ('^' nat)?
     def factor(self) -> ChowElement:
+        negate = False
+        while self.at_op("-"):
+            self.take()
+            negate = not negate
         value = self.atom()
         if self.at_op("^"):
             self.take()
@@ -107,14 +114,10 @@ class _Parser:
             if tok[0] != "nat":
                 raise ParseError("expected a non-negative integer exponent", tok[2])
             value = value ** int(tok[1])
-        return value
+        return -value if negate else value
 
-    # atom := '-'? (rational | identifier | '(' expr ')')
+    # atom := rational | identifier | '(' expr ')'
     def atom(self) -> ChowElement:
-        negate = False
-        while self.at_op("-"):
-            self.take()
-            negate = not negate
         tok = self.take()
         kind, text, pos = tok
         if kind == "nat":
@@ -138,7 +141,7 @@ class _Parser:
             self.expect_op(")")
         else:
             raise ParseError(f"unexpected token {text!r}", pos)
-        return -value if negate else value
+        return value
 
 
 def parse_class_expr(text: str, ring: Ring) -> ChowElement:

@@ -20,17 +20,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from random import Random
 
-from .chains import chain_solve, grading_element, is_calabi_yau, symmetry_group, weight_sequence
+from .chains import chain_solve, grading_element, is_calabi_yau, weight_sequence
 from .charclasses import KClass, euler_identity_check
 from .classexpr import parse_class_expr
 from .ifunction import i_coefficient, nonequivariant_limit, picard_fuchs_check
 from .localize import LocInput, crosscheck_factors, hodge_product, localization_product
 from .rings import Ring
 from .sampling import sample_kclass, sample_weight
+from .series import NotConvergentError
 
 
 class JobError(ValueError):
@@ -64,7 +66,7 @@ def _cmd_chain_analyze(args) -> int:
         f"degree: {chain.degree}",
         f"charges: {_tuple_str(chain.charges)}",
         f"calabi_yau: {'true' if is_calabi_yau(chain) else 'false'}",
-        f"aut_order: {len(symmetry_group(chain))}",
+        f"aut_order: {math.prod(chain.exponents)}",
         f"grading_element: {grading_element(chain)}",
         f"q_weights: {_tuple_str(weight_sequence(chain))}",
     ]
@@ -156,13 +158,16 @@ def _build_ring(doc: dict, q_max_flag: int | None) -> Ring:
     if q_max_flag is not None:
         q_max = q_max_flag
     elif "q_max" in chow:
-        _require(isinstance(chow["q_max"], int), "chow.q_max", "must be an integer")
         q_max = chow["q_max"]
+        _require(
+            isinstance(q_max, int) and q_max >= 0, "chow.q_max", "must be a non-negative integer"
+        )
     elif os.environ.get("CHLOC_Q_MAX"):
         try:
             q_max = int(os.environ["CHLOC_Q_MAX"])
-        except ValueError as exc:
-            raise JobError("$", "CHLOC_Q_MAX must be an integer") from exc
+        except ValueError:
+            q_max = -1
+        _require(q_max >= 0, "$", "CHLOC_Q_MAX must be a non-negative integer")
     else:
         q_max = None
     try:
@@ -224,6 +229,15 @@ def _weighted_list(doc, classes, ring, path) -> list[tuple[KClass, int]]:
     return out
 
 
+def _sampled(job: dict, ring: Ring) -> list[tuple[KClass, int]]:
+    """``job.count`` weighted classes drawn from ``Random(job.seed)``."""
+    _require(isinstance(job.get("seed"), int), "job.seed", "must be an integer")
+    count = job.get("count")
+    _require(isinstance(count, int) and count > 0, "job.count", "must be a positive integer")
+    rng = Random(job["seed"])
+    return [(sample_kclass(rng, ring), sample_weight(rng)) for _ in range(count)]
+
+
 def _series_lines(result) -> list[str]:
     lines = [f"series: {result.series}"]
     lines.append(f"convergent: {'true' if result.convergent else 'false'}")
@@ -263,9 +277,8 @@ def _cmd_classes(args) -> int:
     if args.mode == "identity":
         items: list[tuple[str, KClass, int]] = []
         if "pairs" in job:
-            for i, pair in enumerate(
-                job["pairs"] if isinstance(job["pairs"], list) else ()
-            ):
+            _require(isinstance(job["pairs"], list), "job.pairs", "must be a list")
+            for i, pair in enumerate(job["pairs"]):
                 p = f"job.pairs[{i}]"
                 _require(isinstance(pair, dict), p, "must be an object")
                 x = _resolve_class(pair.get("class"), classes, ring, f"{p}.class")
@@ -277,18 +290,7 @@ def _cmd_classes(args) -> int:
                 )
                 items.append((f"{pair['class']}@{w}", x, w))
         else:
-            _require(
-                isinstance(job.get("seed"), int), "job.seed", "must be an integer"
-            )
-            _require(
-                isinstance(job.get("count"), int) and job["count"] > 0,
-                "job.count",
-                "must be a positive integer",
-            )
-            rng = Random(job["seed"])
-            for i in range(job["count"]):
-                x = sample_kclass(rng, ring)
-                w = sample_weight(rng)
+            for i, (x, w) in enumerate(_sampled(job, ring)):
                 items.append((f"sample[{i}]@{w}", x, w))
         good = 0
         for label, x, w in items:
@@ -357,19 +359,7 @@ def _cmd_classes(args) -> int:
         if "factors" in job:
             factors = _weighted_list(job["factors"], classes, ring, "job.factors")
         else:
-            _require(
-                isinstance(job.get("seed"), int), "job.seed", "must be an integer"
-            )
-            _require(
-                isinstance(job.get("count"), int) and job["count"] > 0,
-                "job.count",
-                "must be a positive integer",
-            )
-            rng = Random(job["seed"])
-            factors = [
-                (sample_kclass(rng, ring), sample_weight(rng))
-                for _ in range(job["count"])
-            ]
+            factors = _sampled(job, ring)
         report = crosscheck_factors(ring, factors)
         lines.append(f"euler_convergent: {'true' if report.euler_convergent else 'false'}")
         lines.append(
@@ -403,6 +393,12 @@ def _cmd_classes(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chloc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -423,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     classes = sub.add_parser("classes", help="characteristic-class jobs")
     classes.add_argument("mode", choices=["hodge", "general", "identity", "tautrel"])
     classes.add_argument("--job", required=True)
-    classes.add_argument("--q-max", type=int, default=None)
+    classes.add_argument("--q-max", type=_non_negative_int, default=None)
     classes.set_defaults(func=_cmd_classes)
     return parser
 
@@ -439,7 +435,7 @@ def main(argv=None) -> int:
     except JobError as exc:
         print(f"chloc: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, ArithmeticError, NotConvergentError) as exc:
         print(f"chloc: error: {exc}", file=sys.stderr)
         return 1
 

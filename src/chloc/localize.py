@@ -13,16 +13,20 @@ q -> 0 limit when there are none.
 
     e_{-k_E q}(E) * e(V) / e(N) * Td_q(T) / Td_q(V),
 
-where each of V, T, N is a list of weighted classes, the Euler factors are
-exact, and the equivariant Todd of a weighted class is the ordinary Todd
-class times the formal-twist ratio.  On the chain specialization
-T = V = (+)B_j, N = (+)A_j it reproduces ``hodge_product`` applied to
+where each of V, T, N is a list of weighted classes and the equivariant
+Todd class of a weighted class is Td(x (x) O(kq)).  Every factor is
+log-linear (see :mod:`chloc.charclasses`), so the product is
+prod (kq)^rank times one exp: e(N)^-1 = e(-N) exactly, and
+Td_q(T)/Td_q(V) = exp(sum_T L_k - sum_V L_k) for the Todd arguments L_k,
+which cancel exactly on the chain specialization T = V = (+)B_j,
+N = (+)A_j.  That specialization reproduces ``hodge_product`` applied to
 R_j = A_j - B_j.
 
 :func:`tautological_crosscheck` compares the Euler-class side against the
-Hirzebruch-class side at t = exp(-q): the two sides converge together, have
-the same limit, and their negative coefficients span each other degree by
-degree on single-generator rings (an exact linear-algebra test).
+Hirzebruch-class side at t = exp(-q), each one exp of summed arguments:
+the two sides converge together, have the same limit, and their negative
+coefficients span each other degree by degree on single-generator rings
+(an exact linear-algebra test).
 """
 
 from __future__ import annotations
@@ -31,9 +35,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chains import ChainData, weight_sequence
-from .charclasses import KClass, equivariant_euler, hirzebruch_class, todd, todd_twist_ratio
+from .charclasses import (
+    KClass,
+    _argument,
+    _euler_rank,
+    _euler_table,
+    _exp_hirzebruch_table,
+    _log_linear,
+    _todd_table,
+    equivariant_euler,
+)
 from .rings import ChowElement, Ring
-from .series import QSeries, compute_at_precision, q_exponential
+from .series import QSeries, compute_at_precision
 
 WeightedClass = tuple[KClass, int]
 
@@ -132,35 +145,40 @@ def localization_product(
     """General fixed-locus product with explicit bundle data.
 
     ``v`` and ``t`` enter through equivariant Euler and Todd factors, ``n``
-    (the normal data) through an inverted Euler factor; its product of
-    Euler classes must have an invertible leading structure.
+    (the normal data) through an inverted Euler factor.  The argument of
+    the single exp holds the Euler arguments of E, V and -N, and for each
+    weight the Todd argument of the T classes minus the V classes of that
+    weight, which is absent when T = V.
     """
     ring = hodge.ring
     if hodge_weight == 0:
         raise ValueError("weights must be nonzero")
     target = ring.q_max if q_max is None else int(q_max)
+    D = ring.truncation
 
-    euler_part = equivariant_euler(hodge, -hodge_weight)
-    for x, k in v:
-        euler_part = euler_part * equivariant_euler(x, k)
-    normal = QSeries.one(ring)
-    for x, k in n:
-        normal = normal * equivariant_euler(x, k)
-    euler_part = euler_part * normal.invert(target + 1)
-
-    ranks = abs(hodge.rank) + sum(abs(x.rank) for x, _ in v + t + n)
+    euler = [(hodge, -hodge_weight)] + list(v) + [(-x, k) for x, k in n]
+    rank = _euler_rank(ring, euler)
+    todd_terms = _by_weight(ring, list(t) + [(-x, k) for x, k in v])
+    todd_terms = {k: x for k, x in todd_terms.items() if x != KClass.zero(ring)}
+    rho = sum(x.rank for x, _ in euler)
 
     def compute(order: int) -> QSeries:
-        out = euler_part
-        for x, k in t:
-            out = out * QSeries.constant(todd(x)) * todd_twist_ratio(x, k, order)
-        tv = QSeries.one(ring)
-        for x, k in v:
-            tv = tv * QSeries.constant(todd(x)) * todd_twist_ratio(x, k, order)
-        return out * tv.invert(order)
+        terms = [(x, _euler_table(k, D)) for x, k in euler]
+        terms += [(x, _todd_table(k, D, order, 0)) for k, x in todd_terms.items()]
+        arg = _argument(ring, terms, order if todd_terms else None)
+        return _log_linear(arg, target - rho, rank)
 
-    series = compute_at_precision(compute, target, 2 * ring.truncation + ranks + 8)
+    series = compute_at_precision(compute, target, D + 1 - rho)
     return LocResult.from_series(series)
+
+
+def _by_weight(ring: Ring, weighted: list[WeightedClass]) -> dict[int, KClass]:
+    """The sum of the classes of each weight: a log-linear argument is
+    additive in the class."""
+    out: dict[int, KClass] = {}
+    for x, k in weighted:
+        out[k] = out.get(k, KClass.zero(ring)) + x
+    return out
 
 
 def chain_specialization(
@@ -232,25 +250,24 @@ def crosscheck_factors(
     rational span of the other's within each fixed Chow degree.
     """
     target = ring.q_max if q_max is None else int(q_max)
-
-    side_a = QSeries.one(ring)
-    for x, k in factors:
-        side_a = side_a * equivariant_euler(x, k)
-
     D = ring.truncation
-    ranks = sum(abs(x.rank) for x, _ in factors)
-
-    total_ord = sum(D + abs(x.rank) for x, _ in factors)
-    inner = target + total_ord + 2
+    # both sides have the rank factor prod (kq)^rank
+    rank = _euler_rank(ring, factors)
+    rho = sum(x.rank for x, _ in factors)
+    merged = _by_weight(ring, factors)
+    side_a = _log_linear(
+        _argument(ring, [(x, _euler_table(k, D)) for k, x in merged.items()]), None, rank
+    )
 
     def compute(order: int) -> QSeries:
-        out = QSeries.one(ring)
-        for x, k in factors:
-            out = out * hirzebruch_class(q_exponential(ring, -k, order), x, q_max=inner)
-        return out
+        terms, valid = [], order
+        for k, x in merged.items():
+            table, v = _exp_hirzebruch_table(k, D, order)
+            terms.append((x, table))
+            valid = min(valid, v)
+        return _log_linear(_argument(ring, terms, valid), target - rho, rank)
 
-    margin = 2 * D + 2 + total_ord + 8
-    side_b = compute_at_precision(compute, target, margin)
+    side_b = compute_at_precision(compute, target, 2 * D + 2 - rho)
 
     neg_a = side_a.negative_part()
     neg_b = side_b.negative_part()

@@ -332,10 +332,6 @@ class RatFunc:
         self.den = den
 
     @classmethod
-    def _make(cls, num: BivarPoly, den: BivarPoly) -> "RatFunc":
-        return cls(num, den)
-
-    @classmethod
     def from_scalar(cls, c: Scalar) -> "RatFunc":
         return cls(BivarPoly.constant(c), BivarPoly.constant(1))
 

@@ -116,10 +116,6 @@ class QSeries:
         return sorted(self._coeffs)
 
     @property
-    def e_min(self) -> int | None:
-        return min(self._coeffs) if self._coeffs else None
-
-    @property
     def is_zero(self) -> bool:
         return not self._coeffs
 
@@ -186,20 +182,15 @@ class QSeries:
             return None
         return self.q_max + 1
 
-    def _grading_defect(self, coeffs=None) -> int:
+    def _grading_defect(self, coeffs: dict[int, ChowElement]) -> int:
         """How far the terms stray from 'Chow degree >= pole order'.
 
         Zero for every series the characteristic-class pipeline builds;
         positive defects enlarge the internal padding of exp and invert.
         """
-        worst = 0
-        ring = self.ring
-        for e, c in (coeffs if coeffs is not None else self._coeffs).items():
-            if e >= 0:
-                continue
-            dmin = min(ring.monomial_degree(m) for m, _ in c.items())
-            worst = max(worst, -e - dmin)
-        return worst
+        degree = self.ring.monomial_degree
+        defects = [-e - min(degree(m) for m, _ in c.items()) for e, c in coeffs.items() if e < 0]
+        return max([0] + defects)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -294,14 +285,6 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("use invert() for negative powers")
-        out = QSeries.one(self.ring)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- inversion ---------------------------------------------------------------
 
     def invert(self, q_max: int | None = None) -> "QSeries":
@@ -318,33 +301,17 @@ class QSeries:
         ring = self.ring
         if not self._coeffs:
             raise ZeroDivisionError("cannot invert the zero series")
-        e_star = None
-        for e in sorted(self._coeffs):
-            if self._coeffs[e].constant_term:
-                e_star = e
-                break
+        e_star = next((e for e in sorted(self._coeffs) if self._coeffs[e].constant_term), None)
         if e_star is None:
-            raise ValueError(
-                "not invertible: no coefficient has a nonzero scalar part"
-            )
+            raise ValueError("not invertible: no coefficient has a nonzero scalar part")
         c = self._coeffs[e_star].constant_term
         D = ring.truncation
 
-        # self = c q^{e_star} (1 + u);  u = u_scalar + u_nilpotent.
+        # self = c q^{e_star} (1 + u);  u = u_scal + u_nil.
         u = (self.shifted(-e_star) * (1 / c)) - QSeries.one(ring)
-        u_scal: ScalarSeries = {}
-        u_nil: dict[int, ChowElement] = {}
-        for e, v in u._coeffs.items():
-            c0 = v.constant_term
-            if c0:
-                u_scal[e] = c0
-            rest = v - ring.const(c0)
-            if not rest.is_zero:
-                u_nil[e] = rest
-
+        u_scal, u_nil = u._split()
         defect = self._grading_defect(u_nil)
-        has_low_nil = bool(u_nil) and min(u_nil) <= 0
-        pad = D * (1 + defect) + 1 if has_low_nil else 0
+        pad = D * (1 + defect) + 1 if u_nil and min(u_nil) <= 0 else 0
 
         target = ring.q_max if q_max is None else int(q_max)
         exact_out = self.q_max is None and not u_scal
@@ -356,34 +323,14 @@ class QSeries:
 
         # (1 + u)^{-1} = (1 + v)^{-1} (1 + u_scal)^{-1},
         # v = (1 + u_scal)^{-1} u_nil nilpotent.
+        inv_scal_q = QSeries.one(ring)
         if u_scal:
             inv_scal = scalar_invert({0: Fraction(1), **u_scal}, cutoff)
             inv_scal_q = QSeries.from_scalars(ring, inv_scal)
-        else:
-            inv_scal_q = QSeries.one(ring)
-        acc = QSeries.one(ring)
-        if u_nil:
-            v = inv_scal_q * QSeries._raw(ring, u_nil, None)
-            if cutoff is not None:
-                v = QSeries._raw(
-                    ring, {e: x for e, x in v._coeffs.items() if e <= cutoff}, None
-                )
-            power = QSeries.one(ring)
-            for _ in range(D + 1):
-                power = power * (-v)
-                if cutoff is not None:
-                    power = QSeries._raw(
-                        ring,
-                        {e: x for e, x in power._coeffs.items() if e <= cutoff},
-                        None,
-                    )
-                if power.is_zero:
-                    break
-                acc = acc + power
+        v = _cut(inv_scal_q * QSeries._raw(ring, u_nil, None), cutoff)
+        acc = v._nilpotent_sum(cutoff, lambda m: (-1) ** m)
         out = (acc * inv_scal_q).shifted(-e_star) * (1 / c)
-        if exact_out:
-            return QSeries._raw(out.ring, out._coeffs, None)
-        return out.truncated(target)
+        return out if exact_out else out.truncated(target)
 
     # -- exponential ---------------------------------------------------------------
 
@@ -396,56 +343,50 @@ class QSeries:
         """
         ring = self.ring
         D = ring.truncation
-        bad = sorted(
-            e for e, c in self._coeffs.items() if e <= 0 and c.constant_term
-        )
-        if bad:
+        scal, nil = self._split()
+        if scal and min(scal) <= 0:
             raise ValueError(
-                f"exp requires scalar parts only at positive exponents, found q^{bad[0]}"
+                f"exp requires scalar parts only at positive exponents, found q^{min(scal)}"
             )
-        scal: ScalarSeries = {}
-        nil: dict[int, ChowElement] = {}
-        for e, cfull in self._coeffs.items():
-            c0 = cfull.constant_term
-            if c0:
-                scal[e] = c0
-            rest = cfull - ring.const(c0)
-            if not rest.is_zero:
-                nil[e] = rest
-
-        if not scal and self.q_max is None:
-            return self._exp_nilpotent(nil, None)
-
-        defect = self._grading_defect(nil)
-        pad = D * (1 + defect) + 1 if nil and min(nil) < 0 else 0
-        target = ring.q_max if q_max is None else int(q_max)
-        if self.q_max is not None:
-            target = min(target, self.q_max - pad)
-        cutoff = target + pad
-
-        out = self._exp_nilpotent(nil, cutoff)
+        cutoff = None
+        if scal or self.q_max is not None:
+            defect = self._grading_defect(nil)
+            pad = D * (1 + defect) + 1 if nil and min(nil) < 0 else 0
+            target = ring.q_max if q_max is None else int(q_max)
+            if self.q_max is not None:
+                target = min(target, self.q_max - pad)
+            cutoff = target + pad
+        out = QSeries._raw(ring, nil, None)._nilpotent_sum(
+            cutoff, lambda m: Fraction(1, factorial(m))
+        )
+        if cutoff is None:
+            return out
         if scal:
             out = out * QSeries.from_scalars(ring, scalar_exp(scal, cutoff))
         return out.truncated(target)
 
-    def _exp_nilpotent(
-        self, nil: dict[int, ChowElement], cutoff: int | None
-    ) -> "QSeries":
-        ring = self.ring
-        b = QSeries._raw(ring, nil, None)
-        out = QSeries.one(ring)
-        power = QSeries.one(ring)
-        for m in range(1, ring.truncation + 1):
-            power = power * b
-            if cutoff is not None:
-                power = QSeries._raw(
-                    ring,
-                    {e: c for e, c in power._coeffs.items() if e <= cutoff},
-                    None,
-                )
+    def _split(self) -> tuple[ScalarSeries, dict[int, ChowElement]]:
+        """The scalar parts and the nilpotent parts of the coefficients."""
+        scal: ScalarSeries = {}
+        nil: dict[int, ChowElement] = {}
+        for e, c in self._coeffs.items():
+            c0 = c.constant_term
+            if c0:
+                scal[e] = c0
+            rest = c - self.ring.const(c0)
+            if not rest.is_zero:
+                nil[e] = rest
+        return scal, nil
+
+    def _nilpotent_sum(self, cutoff: int | None, coef) -> "QSeries":
+        """sum_m coef(m) * self^m for an exact series with nilpotent
+        coefficients (a finite sum), dropping exponents above cutoff."""
+        out = power = QSeries.one(self.ring)
+        for m in range(1, self.ring.truncation + 1):
+            power = _cut(power * self, cutoff)
             if power.is_zero:
                 break
-            out = out + power * Fraction(1, factorial(m))
+            out = out + power * coef(m)
         return out
 
     # -- comparison / display --------------------------------------------------------
@@ -487,6 +428,13 @@ class QSeries:
 
     def __repr__(self) -> str:
         return f"<QSeries {self}>"
+
+
+def _cut(s: QSeries, cutoff: int | None) -> QSeries:
+    """An exact series without its terms above cutoff (None keeps all)."""
+    if cutoff is None:
+        return s
+    return QSeries._raw(s.ring, {e: c for e, c in s._coeffs.items() if e <= cutoff}, None)
 
 
 def _convolve(

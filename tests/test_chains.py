@@ -101,6 +101,15 @@ def test_symmetry_group_order_and_brute_force():
         assert [s.theta for s in g] == brute_force_group(a)
 
 
+def test_symmetry_group_order_is_exponent_product():
+    # chain analyze prints aut_order as prod(a) without building the group
+    for n in (1, 2, 3):
+        for a in product(range(1, 5), repeat=n):
+            if a[-1] < 2:
+                continue
+            assert len(symmetry_group(chain_solve(a))) == prod(a), a
+
+
 def test_group_axioms():
     c = chain_solve([2, 3])
     g = symmetry_group(c)

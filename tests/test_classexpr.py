@@ -91,3 +91,23 @@ def test_roundtrip_canonical_forms():
         assert parse_class_expr(str(x), ring) == x
     r = _ring()
     assert parse_class_expr(str(r.zero()), r) == r.zero()
+
+
+def test_printed_form_parses_back_to_itself():
+    # A unary minus binds looser than '^': -x^2 is -(x^2), as printed.
+    r = Ring([("a", 1), ("b", 1), ("x", 1)], 4)
+    a, b, x = r.gens()
+    assert parse_class_expr("-x^2", r) == -(x * x)
+    assert parse_class_expr("-a^2*b", r) == -(a * a * b)
+    assert parse_class_expr("(-x)^2", r) == x * x
+    fixed = [-(x * x), -(a**4), -(a * a * b), -(x * x) + a * 2, r.const(-4) - x * x]
+    rng = Random(2024)
+    seeded = []
+    for _ in range(200):
+        ring = sample_ring(rng, max_truncation=5)
+        monos = [m for d in range(1, ring.truncation + 1) for m in ring.monomials(d)]
+        picked = rng.sample(monos, rng.randint(1, min(3, len(monos))))
+        coeffs = [-1, 1, -2, F(-1, 3)]
+        seeded.append(ring.element({m: rng.choice(coeffs) for m in picked}))
+    for c in fixed + seeded:
+        assert str(parse_class_expr(str(c), c.ring)) == str(c)

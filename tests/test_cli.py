@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chloc import Ring, parse_class_expr
+from chloc import NotConvergentError, Ring, cli, parse_class_expr
 
 from conftest import assert_chloc_imported, child_pythonpath
 
@@ -166,3 +166,60 @@ def test_verify_pf_flag_runs_green():
     proc = run_cli("ifunction", "2", "2", "3", "--k-max", "5", "--verify-pf")
     assert proc.returncode == 0
     assert b"pf: 8/8 pass" in proc.stdout
+
+
+def _assert_usage_error(proc, source: bytes):
+    assert proc.returncode == 1, proc.stdout.decode()
+    assert b"Traceback" not in proc.stderr
+    assert source in proc.stderr
+    assert proc.stdout == b""
+
+
+def test_negative_q_max_flag_exit_1():
+    proc = run_cli("classes", "identity", "--job", "job_identity.json", "--q-max", "-2")
+    _assert_usage_error(proc, b"--q-max")
+
+
+def test_negative_job_q_max_exit_1(tmp_path):
+    f = tmp_path / "job.json"
+    f.write_text(
+        '{"chow": {"generators": [{"name": "x", "degree": 1}], "truncation": 1, "q_max": -4},'
+        ' "classes": [], "job": {"hodge": null, "hodge_weight": 1, "pushed": []}}'
+    )
+    _assert_usage_error(run_cli("classes", "hodge", "--job", str(f)), b"chow.q_max")
+
+
+def test_negative_env_q_max_exit_1():
+    proc = run_cli(
+        "classes", "general", "--job", "job_general.json", env_extra={"CHLOC_Q_MAX": "-4"}
+    )
+    _assert_usage_error(proc, b"CHLOC_Q_MAX")
+
+
+def test_non_list_pairs_exit_1(tmp_path):
+    f = tmp_path / "job.json"
+    f.write_text(
+        '{"chow": {"generators": [{"name": "x", "degree": 1}], "truncation": 1},'
+        ' "classes": [], "job": {"pairs": 5}}'
+    )
+    _assert_usage_error(run_cli("classes", "identity", "--job", str(f)), b"job.pairs")
+
+
+@pytest.mark.parametrize("error", [ArithmeticError("not reliable"), NotConvergentError([])])
+def test_computation_errors_exit_1(monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "localization_product", fail)
+    code = cli.main(["classes", "general", "--job", str(GOLDEN / "job_general.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("chloc: error:")
+    assert "Traceback" not in captured.err
+
+
+def test_chain_analyze_aut_order_is_product():
+    proc = run_cli("chain", "analyze", "40", "40", "40")
+    assert proc.returncode == 0
+    assert b"\naut_order: 64000\n" in proc.stdout

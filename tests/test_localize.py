@@ -11,10 +11,15 @@ from chloc import (
     chain_solve,
     crosscheck_factors,
     chain_specialization,
+    equivariant_euler,
+    hirzebruch_class,
     hodge_product,
     line_bundle,
     localization_product,
+    q_exponential,
     tautological_crosscheck,
+    todd,
+    todd_twist_ratio,
     weight_sequence,
 )
 from chloc.localize import _in_span, _row_reduce
@@ -155,6 +160,67 @@ def test_product_order_irrelevant():
             )
         )
         assert base.series == other.series
+
+
+# -- log-linear products against the plain products of their factors ----------
+
+
+def _plain_localization(hodge, hodge_weight, v, t, n, target):
+    """e(E) e(V) / e(N) * Td_q(T) / Td_q(V), multiplied factor by factor with
+    QSeries.invert for both quotients."""
+    ring = hodge.ring
+    ranks = sum(abs(x.rank) for x, _ in [(hodge, 0)] + v + t + n)
+    order = target + 2 * ring.truncation + ranks + 8
+    out = equivariant_euler(hodge, -hodge_weight)
+    normal = tv = QSeries.one(ring)
+    for x, k in v:
+        out = out * equivariant_euler(x, k)
+        tv = tv * QSeries.constant(todd(x)) * todd_twist_ratio(x, k, order)
+    for x, k in n:
+        normal = normal * equivariant_euler(x, k)
+    for x, k in t:
+        out = out * QSeries.constant(todd(x)) * todd_twist_ratio(x, k, order)
+    out = out * normal.invert(order) * tv.invert(order)
+    assert out.q_max >= target
+    return out.truncated(target)
+
+
+def test_localization_product_matches_plain_product():
+    # criterion-8 shapes with T != V, so the Todd quotient does not cancel
+    rng = Random(8080)
+    for _ in range(12):
+        ring = sample_ring(rng, max_truncation=3)
+        n = rng.randint(1, 3)
+        ws = [sample_weight(rng) for _ in range(n)]
+        a_cl = [(sample_kclass(rng, ring), k) for k in ws]
+        b_cl = [(sample_kclass(rng, ring), k) for k in ws]
+        t_cl = [(sample_kclass(rng, ring), sample_weight(rng)) for _ in range(rng.randint(1, 2))]
+        hodge = sample_kclass(rng, ring, rank_min=0, rank_max=3)
+        e_w = sample_weight(rng)
+        target = rng.randint(0, ring.q_max)
+        got = localization_product(hodge, e_w, v=b_cl, t=t_cl, n=a_cl, q_max=target)
+        want = _plain_localization(hodge, e_w, b_cl, t_cl, a_cl, target)
+        assert str(got.series) == str(want)
+
+
+def test_crosscheck_sides_match_plain_products():
+    rng = Random(5150)
+    for _ in range(10):
+        degs = [1] + [rng.randint(1, 2) for _ in range(rng.randint(0, 2))]
+        ring = Ring(list(zip(["a", "b", "c"], degs)), rng.randint(1, 3), q_max=6)
+        factors = [(sample_kclass(rng, ring, rank_min=0, rank_max=2), -sample_weight(rng))]
+        for _ in range(rng.randint(0, 2)):
+            factors.append((-sample_kclass(rng, ring), sample_weight(rng)))
+        rep = crosscheck_factors(ring, factors)
+        D = ring.truncation
+        order = ring.q_max + 2 * D + 10 + sum(D + abs(x.rank) for x, _ in factors)
+        euler = hirz = QSeries.one(ring)
+        for x, k in factors:
+            euler = euler * equivariant_euler(x, k)
+            hirz = hirz * hirzebruch_class(q_exponential(ring, -k, order), x)
+        assert hirz.q_max >= ring.q_max
+        assert rep.side_euler == euler and rep.side_euler.is_exact
+        assert str(rep.side_hirzebruch) == str(hirz.truncated(ring.q_max))
 
 
 def test_crosscheck_convergent_instance():
