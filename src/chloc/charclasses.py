@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .rings import ChowElement, Ring
 from .series import (
@@ -145,12 +145,12 @@ def hirzebruch_coefficient(l: int, t):
 # -- argument tables ---------------------------------------------------------------
 
 
-def _euler_table(weight: int, D: int) -> Table:
-    """e_{kq}: phi_l = -(l-1)!/(-k q)^l."""
+def _euler_table(weight: int, D: int, order: int | None = None) -> Table:
+    """e_{kq}: phi_l = -(l-1)!/(-k q)^l, exact at every order."""
     return {l: {-l: Fraction(-factorial(l - 1), (-weight) ** l)} for l in range(1, D + 1)}
 
 
-def _todd_table(weight: int, D: int, order: int, first: int) -> Table:
+def _todd_table(weight: int, D: int, order: int, first: int = 0) -> Table:
     """phi_j = -sum_{n=first}^{order} B_{n+j}(0)/(n+j) (kq)^n/n! over n+j >= 1:
     the equivariant Todd class Td(x (x) O(kq)) for first = 0, the twist
     ratio Td(x (x) O(kq)) / Td(x) for first = 1."""
@@ -166,15 +166,22 @@ def _todd_table(weight: int, D: int, order: int, first: int) -> Table:
     return table
 
 
-def _exp_hirzebruch_table(weight: int, D: int, order: int) -> tuple[Table, int]:
-    """The table of c_t at t = exp(-kq) for the rank factor (kq)^rank, and
-    the order it is reliable to: besides phi_l = -s_l(t) it has the rank
-    row phi_0 = log((1 - exp(-kq))/(kq)) = sum_n B_n(0)/n (kq)^n/n!, which
-    is minus the rank row of the twist table."""
-    order = max(order, 1)  # t must keep its q-term
-    table, valid, _ = _hirzebruch_table(q_exponential(_SCALARS, -weight, order), D)
-    table[0] = {n: -v for n, v in _todd_table(weight, D, order, 1)[0].items()}
-    return table, valid
+def _twist_table(weight: int, D: int, order: int) -> Table:
+    """The Todd twist ratio Td(x (x) O(kq)) / Td(x)."""
+    return _todd_table(weight, D, order, 1)
+
+
+def _exp_hirzebruch_table(weight: int, D: int, order: int) -> Table:
+    """The table of c_t at t = exp(-kq) for the rank factor (kq)^rank,
+    reliable up to ``order``: besides phi_l = -s_l(t) it has the rank row
+    phi_0 = log((1 - exp(-kq))/(kq)) = sum_n B_n(0)/n (kq)^n/n!, which is
+    minus the rank row of the twist table.  The powers of t/(1-t) lose
+    D + 1 orders, so t is built that much deeper (and always with its
+    q-term)."""
+    t = q_exponential(_SCALARS, -weight, max(order + D + 1, 1))
+    table = _hirzebruch_table(t, D)[0]
+    table[0] = {n: -v for n, v in _twist_table(weight, D, order).get(0, {}).items()}
+    return table
 
 
 def _euler_rank(ring: Ring, weighted: Iterable[tuple["KClass", int]]) -> QSeries:
@@ -185,6 +192,15 @@ def _euler_rank(ring: Ring, weighted: Iterable[tuple["KClass", int]]) -> QSeries
     return QSeries.q_power(
         ring, sum(x.rank for x, _ in weighted), prod(Fraction(k) ** x.rank for x, k in weighted)
     )
+
+
+def _by_weight(ring: Ring, weighted: Iterable[tuple["KClass", int]]) -> dict[int, "KClass"]:
+    """The sum of the classes of each weight: a log-linear argument is
+    additive in the class."""
+    out: dict[int, KClass] = {}
+    for x, k in weighted:
+        out[int(k)] = out.get(int(k), KClass.zero(ring)) + x
+    return out
 
 
 def _argument(
@@ -208,6 +224,40 @@ def _log_linear(arg: QSeries, order: int | None = None, rank: QSeries | None = N
     nilpotent; ``rank`` is a scalar series (None stands for 1)."""
     out = arg.exp(order)
     return out if rank is None else rank * out
+
+
+def _euler_product(ring: Ring, weighted: list[tuple["KClass", int]]) -> QSeries:
+    """prod e_{kq}(x) over weighted classes, exact: prod (kq)^rank times
+    one exp of the Euler arguments, the classes of each weight merged."""
+    rank = _euler_rank(ring, weighted)
+    merged = _by_weight(ring, weighted)
+    arg = _argument(ring, [(x, _euler_table(k, ring.truncation)) for k, x in merged.items()])
+    return _log_linear(arg, None, rank)
+
+
+def _log_linear_to(
+    ring: Ring,
+    weighted: list[tuple["KClass", int]],
+    terms: list[tuple["KClass", int, Callable[..., Table]]],
+    target: int,
+) -> QSeries:
+    """The rank factor prod (kq)^rank over ``weighted`` times exp(sum over
+    (x, k, table) of the argument of x in table(k, D, order)), reliable up
+    to ``target``.
+
+    This is where every working order comes from.  The rank factor is
+    c q^rho, so the exp must be reliable to target - rho; exp loses D + 1
+    orders below its poles, so each table is built to target - rho + D + 1.
+    """
+    D = ring.truncation
+    rank = _euler_rank(ring, weighted)
+    rho = rank.exponents()[0]
+
+    def at(order: int) -> QSeries:
+        arg = _argument(ring, [(x, table(k, D, order)) for x, k, table in terms], order)
+        return _log_linear(arg, target - rho, rank)
+
+    return compute_at_precision(at, target, D + 1 - rho)
 
 
 class KClass:
@@ -318,7 +368,7 @@ def sum_of_roots(ring: Ring, alphas: Iterable[ChowElement]) -> KClass:
 
 def todd(x: KClass) -> ChowElement:
     """Todd class, exp(-sum_{l>=1} B_l(0)/l * Ch_l(x)); Td(L) = 1 + c/2 + c^2/12 + ..."""
-    table = _todd_table(0, x.ring.truncation, 0, 0)
+    table = _todd_table(0, x.ring.truncation, 0)
     return _log_linear(_argument(x.ring, [(x, table)])).coefficient(0)
 
 
@@ -359,9 +409,7 @@ def equivariant_euler(x: KClass, weight: int) -> QSeries:
     An exact Laurent polynomial; on a bundle with roots a_i it equals
     prod_i (k q + a_i), and it is multiplicative in x.
     """
-    rank = _euler_rank(x.ring, [(x, weight)])
-    table = _euler_table(int(weight), x.ring.truncation)
-    return _log_linear(_argument(x.ring, [(x, table)]), None, rank)
+    return _euler_product(x.ring, [(x, weight)])
 
 
 def todd_twist_ratio(x: KClass, weight: int, q_max: int | None = None) -> QSeries:
@@ -378,7 +426,7 @@ def todd_twist_ratio(x: KClass, weight: int, q_max: int | None = None) -> QSerie
     weight = int(weight)
     if weight == 0 or target < 1:
         return QSeries.one(ring).truncated(max(target, 0))
-    table = _todd_table(weight, ring.truncation, target, 1)
+    table = _twist_table(weight, ring.truncation, target)
     return _log_linear(_argument(ring, [(x, table)], target), target)
 
 
@@ -403,18 +451,9 @@ def euler_identity_check(
     two rank factors multiply to (kq)^rank exactly."""
     weight = int(weight)
     ring = x.ring
-    D = ring.truncation
     target = ring.q_max if q_max is None else int(q_max)
     lhs = equivariant_euler(x, weight)
-
-    rank = _euler_rank(ring, [(x, weight)])
-
-    def compute(order: int) -> QSeries:
-        table, valid = _exp_hirzebruch_table(weight, D, order)
-        twist = _todd_table(weight, D, order, 1)
-        arg = _argument(ring, [(x, table), (x, twist)], valid)
-        return _log_linear(arg, target - x.rank, rank)
-
-    rhs = compute_at_precision(compute, target, 2 * D + 2 - x.rank)
+    terms = [(x, weight, _exp_hirzebruch_table), (x, weight, _twist_table)]
+    rhs = _log_linear_to(ring, [(x, weight)], terms, target)
     diff = (lhs - rhs).truncated(target)
     return IdentityCheck(equal=diff.is_zero, lhs=lhs, rhs=rhs, difference=diff)

@@ -10,6 +10,7 @@ Grammar (whitespace insignificant):
     rational := nat ('/' nat)?
 
 A unary minus binds looser than '^', so -x^2 is -(x^2), as printed.
+Parentheses nest at most 100 deep; deeper input is a ParseError.
 
 Identifiers must be generator names of the target ring.  Terms whose degree
 exceeds the ring truncation silently vanish, consistent with ring
@@ -32,6 +33,8 @@ class ParseError(ValueError):
         self.position = position
         super().__init__(f"{message} (at position {position})")
 
+
+_MAX_DEPTH = 100
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<nat>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
@@ -64,6 +67,7 @@ class _Parser:
         self.ring = ring
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -137,8 +141,12 @@ class _Parser:
                 raise ParseError(f"unknown generator {text!r}", pos)
             value = self.ring.generator(text)
         elif kind == "op" and text == "(":
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {_MAX_DEPTH}", pos)
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
         else:
             raise ParseError(f"unexpected token {text!r}", pos)
         return value

@@ -216,6 +216,11 @@ def _resolve_class(name, classes: dict[str, KClass], ring: Ring, path: str) -> K
     return classes[name]
 
 
+def _weight(value, path: str) -> int:
+    _require(isinstance(value, int) and value != 0, path, "must be a nonzero integer")
+    return value
+
+
 def _weighted_list(doc, classes, ring, path) -> list[tuple[KClass, int]]:
     _require(isinstance(doc, list), path, "must be a list")
     out = []
@@ -223,9 +228,7 @@ def _weighted_list(doc, classes, ring, path) -> list[tuple[KClass, int]]:
         p = f"{path}[{i}]"
         _require(isinstance(item, dict), p, "must be an object")
         x = _resolve_class(item.get("class"), classes, ring, f"{p}.class")
-        w = item.get("weight")
-        _require(isinstance(w, int) and w != 0, f"{p}.weight", "must be a nonzero integer")
-        out.append((x, w))
+        out.append((x, _weight(item.get("weight"), f"{p}.weight")))
     return out
 
 
@@ -277,18 +280,11 @@ def _cmd_classes(args) -> int:
     if args.mode == "identity":
         items: list[tuple[str, KClass, int]] = []
         if "pairs" in job:
-            _require(isinstance(job["pairs"], list), "job.pairs", "must be a list")
-            for i, pair in enumerate(job["pairs"]):
-                p = f"job.pairs[{i}]"
-                _require(isinstance(pair, dict), p, "must be an object")
-                x = _resolve_class(pair.get("class"), classes, ring, f"{p}.class")
-                w = pair.get("weight")
-                _require(
-                    isinstance(w, int) and w != 0,
-                    f"{p}.weight",
-                    "must be a nonzero integer",
-                )
-                items.append((f"{pair['class']}@{w}", x, w))
+            pairs = _weighted_list(job["pairs"], classes, ring, "job.pairs")
+            for i, ((x, w), pair) in enumerate(zip(pairs, job["pairs"])):
+                name = pair.get("class")
+                _require(isinstance(name, str), f"job.pairs[{i}].class", "must be a class name")
+                items.append((f"{name}@{w}", x, w))
         else:
             for i, (x, w) in enumerate(_sampled(job, ring)):
                 items.append((f"sample[{i}]@{w}", x, w))
@@ -321,12 +317,7 @@ def _cmd_classes(args) -> int:
                 raise JobError("job", str(exc)) from exc
         else:
             pushed = _weighted_list(job.get("pushed", []), classes, ring, "job.pushed")
-            hw = job.get("hodge_weight")
-            _require(
-                isinstance(hw, int) and hw != 0,
-                "job.hodge_weight",
-                "must be a nonzero integer",
-            )
+            hw = _weight(job.get("hodge_weight"), "job.hodge_weight")
             try:
                 inp = LocInput(ring=ring, hodge=hodge, hodge_weight=hw, pushed=tuple(pushed))
             except ValueError as exc:
@@ -338,12 +329,7 @@ def _cmd_classes(args) -> int:
 
     elif args.mode == "general":
         hodge = _resolve_class(job.get("hodge"), classes, ring, "job.hodge")
-        hw = job.get("hodge_weight")
-        _require(
-            isinstance(hw, int) and hw != 0,
-            "job.hodge_weight",
-            "must be a nonzero integer",
-        )
+        hw = _weight(job.get("hodge_weight"), "job.hodge_weight")
         v = _weighted_list(job.get("v", []), classes, ring, "job.v")
         t = _weighted_list(job.get("t", []), classes, ring, "job.t")
         n = _weighted_list(job.get("n", []), classes, ring, "job.n")

@@ -37,16 +37,15 @@ from fractions import Fraction
 from .chains import ChainData, weight_sequence
 from .charclasses import (
     KClass,
-    _argument,
-    _euler_rank,
+    _by_weight,
+    _euler_product,
     _euler_table,
     _exp_hirzebruch_table,
-    _log_linear,
+    _log_linear_to,
     _todd_table,
-    equivariant_euler,
 )
 from .rings import ChowElement, Ring
-from .series import QSeries, compute_at_precision
+from .series import QSeries
 
 WeightedClass = tuple[KClass, int]
 
@@ -126,12 +125,14 @@ class LocResult:
         )
 
 
+def _factors(inp: LocInput) -> list[WeightedClass]:
+    """The Hodge class with weight -k_{N+1} and the negated pushed classes."""
+    return [(inp.hodge, -inp.hodge_weight)] + [(-r, k) for r, k in inp.pushed]
+
+
 def hodge_product(inp: LocInput) -> LocResult:
     """The exact Laurent product e_{-k_E q}(E) * prod_j e_{k_j q}(-R_j)."""
-    series = equivariant_euler(inp.hodge, -inp.hodge_weight)
-    for r, k in inp.pushed:
-        series = series * equivariant_euler(-r, k)
-    return LocResult.from_series(series)
+    return LocResult.from_series(_euler_product(inp.ring, _factors(inp)))
 
 
 def localization_product(
@@ -154,31 +155,12 @@ def localization_product(
     if hodge_weight == 0:
         raise ValueError("weights must be nonzero")
     target = ring.q_max if q_max is None else int(q_max)
-    D = ring.truncation
-
     euler = [(hodge, -hodge_weight)] + list(v) + [(-x, k) for x, k in n]
-    rank = _euler_rank(ring, euler)
     todd_terms = _by_weight(ring, list(t) + [(-x, k) for x, k in v])
-    todd_terms = {k: x for k, x in todd_terms.items() if x != KClass.zero(ring)}
-    rho = sum(x.rank for x, _ in euler)
-
-    def compute(order: int) -> QSeries:
-        terms = [(x, _euler_table(k, D)) for x, k in euler]
-        terms += [(x, _todd_table(k, D, order, 0)) for k, x in todd_terms.items()]
-        arg = _argument(ring, terms, order if todd_terms else None)
-        return _log_linear(arg, target - rho, rank)
-
-    series = compute_at_precision(compute, target, D + 1 - rho)
+    terms = [(x, k, _euler_table) for x, k in euler]
+    terms += [(x, k, _todd_table) for k, x in todd_terms.items() if x != KClass.zero(ring)]
+    series = _log_linear_to(ring, euler, terms, target)
     return LocResult.from_series(series)
-
-
-def _by_weight(ring: Ring, weighted: list[WeightedClass]) -> dict[int, KClass]:
-    """The sum of the classes of each weight: a log-linear argument is
-    additive in the class."""
-    out: dict[int, KClass] = {}
-    for x, k in weighted:
-        out[k] = out.get(k, KClass.zero(ring)) + x
-    return out
 
 
 def chain_specialization(
@@ -234,9 +216,7 @@ def tautological_crosscheck(inp: LocInput, q_max: int | None = None) -> TautrelR
     The factors are those of :func:`hodge_product`: the Hodge class with
     weight -k_{N+1} and the negated pushed classes with their weights.
     """
-    factors: list[WeightedClass] = [(inp.hodge, -inp.hodge_weight)]
-    factors += [(-r, k) for r, k in inp.pushed]
-    return crosscheck_factors(inp.ring, factors, q_max)
+    return crosscheck_factors(inp.ring, _factors(inp), q_max)
 
 
 def crosscheck_factors(
@@ -252,22 +232,9 @@ def crosscheck_factors(
     target = ring.q_max if q_max is None else int(q_max)
     D = ring.truncation
     # both sides have the rank factor prod (kq)^rank
-    rank = _euler_rank(ring, factors)
-    rho = sum(x.rank for x, _ in factors)
-    merged = _by_weight(ring, factors)
-    side_a = _log_linear(
-        _argument(ring, [(x, _euler_table(k, D)) for k, x in merged.items()]), None, rank
-    )
-
-    def compute(order: int) -> QSeries:
-        terms, valid = [], order
-        for k, x in merged.items():
-            table, v = _exp_hirzebruch_table(k, D, order)
-            terms.append((x, table))
-            valid = min(valid, v)
-        return _log_linear(_argument(ring, terms, valid), target - rho, rank)
-
-    side_b = compute_at_precision(compute, target, 2 * D + 2 - rho)
+    side_a = _euler_product(ring, factors)
+    terms = [(x, k, _exp_hirzebruch_table) for k, x in _by_weight(ring, factors).items()]
+    side_b = _log_linear_to(ring, factors, terms, target)
 
     neg_a = side_a.negative_part()
     neg_b = side_b.negative_part()

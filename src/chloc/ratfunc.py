@@ -242,24 +242,32 @@ class BivarPoly:
 # -- univariate gcd (for the homogeneous reduction) -----------------------------
 
 
+def _trim(x: list[Fraction]) -> list[Fraction]:
+    while x and not x[-1]:
+        x.pop()
+    return x
+
+
+def _uni_divmod(p: list[Fraction], r: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of univariate polynomials over Q (coefficient
+    lists, lowest degree first; r has a nonzero leading coefficient)."""
+    rem = _trim(list(p))
+    quo = [Fraction(0)] * max(len(rem) - len(r) + 1, 0)
+    while len(rem) >= len(r):
+        f = rem[-1] / r[-1]
+        off = len(rem) - len(r)
+        quo[off] = f
+        for i, c in enumerate(r):
+            rem[off + i] -= f * c
+        _trim(rem)
+    return quo, rem
+
+
 def _uni_gcd(p: list[Fraction], r: list[Fraction]) -> list[Fraction]:
     """Monic gcd of two univariate polynomials over Q (coefficient lists)."""
-
-    def trim(x):
-        while x and not x[-1]:
-            x.pop()
-        return x
-
-    p, r = trim(list(p)), trim(list(r))
+    p, r = _trim(list(p)), _trim(list(r))
     while r:
-        # p mod r
-        while len(p) >= len(r) and p:
-            f = p[-1] / r[-1]
-            off = len(p) - len(r)
-            for i, c in enumerate(r):
-                p[off + i] -= f * c
-            trim(p)
-        p, r = r, p
+        p, r = r, _uni_divmod(p, r)[1]
     if p:
         lead = p[-1]
         p = [c / lead for c in p]
@@ -452,17 +460,7 @@ def _divide_exact(p: BivarPoly, g: BivarPoly) -> BivarPoly:
     """Exact division of homogeneous polynomials (g divides p)."""
     ap, bp, up = _homog_to_uni(p)
     ag, bg, ug = _homog_to_uni(g)
-    # univariate exact division
-    rem = list(up)
-    out = [Fraction(0)] * (len(up) - len(ug) + 1)
-    while rem and len(rem) >= len(ug):
-        f = rem[-1] / ug[-1]
-        off = len(rem) - len(ug)
-        out[off] = f
-        for i, c in enumerate(ug):
-            rem[off + i] -= f * c
-        while rem and not rem[-1]:
-            rem.pop()
+    out, rem = _uni_divmod(up, ug)
     if rem:
         raise ArithmeticError("inexact polynomial division")
     return _uni_to_homog(ap - ag, bp - bg, out)

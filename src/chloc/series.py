@@ -12,13 +12,16 @@ Truncation bookkeeping:
 * add: the result is valid up to the smaller of the two orders;
 * mul: valid up to min(a.q_max + ord(b), b.q_max + ord(a)), so multiplying
   by a series of negative valuation lowers the reliable order;
-* invert / exp: coefficients with poles in q are nilpotent (positive Chow
-  degree), and in every series the library produces a coefficient at q^-e
-  has Chow degree at least e.  Under that grading bound, information can
-  travel downward by at most the Chow truncation D overall, so these
-  operations pad their internal working order by D (more when the bound is
-  violated, measured by the worst defect) and lower the reported order by
-  the same amount.
+* invert / exp: coefficients with poles in q are nilpotent, and they obey
+  the grading bound: a coefficient at q^-e has Chow degree at least e.
+  Under that bound information travels downward by at most the Chow
+  truncation D, so when poles are present these operations pad their
+  internal working order by the fixed D + 1 and lower the reported order
+  by the same amount.  A truncated result of a series that breaks the
+  bound is refused with ValueError;
+* compute_at_precision: a caller that knows the order it needs derives the
+  working order once and asks for it; a result short of the target raises
+  ArithmeticError.
 
 The scalar helpers at the bottom operate on plain ``{exponent: Fraction}``
 maps with linear-recurrence kernels; the class methods route pure-scalar
@@ -182,15 +185,15 @@ class QSeries:
             return None
         return self.q_max + 1
 
-    def _grading_defect(self, coeffs: dict[int, ChowElement]) -> int:
-        """How far the terms stray from 'Chow degree >= pole order'.
-
-        Zero for every series the characteristic-class pipeline builds;
-        positive defects enlarge the internal padding of exp and invert.
-        """
+    def _pad(self, nil: dict[int, ChowElement], lowest: int) -> int:
+        """The working-order padding of exp and invert: D + 1 when a
+        nilpotent term sits at an exponent <= lowest, else 0.  Raises
+        ValueError if a coefficient at q^-e has Chow degree below e."""
         degree = self.ring.monomial_degree
-        defects = [-e - min(degree(m) for m, _ in c.items()) for e, c in coeffs.items() if e < 0]
-        return max([0] + defects)
+        for e, c in nil.items():
+            if e < 0 and min(degree(m) for m, _ in c.items()) < -e:
+                raise ValueError(f"the coefficient of q^{e} has Chow degree below {-e}")
+        return self.ring.truncation + 1 if nil and min(nil) <= lowest else 0
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -305,16 +308,14 @@ class QSeries:
         if e_star is None:
             raise ValueError("not invertible: no coefficient has a nonzero scalar part")
         c = self._coeffs[e_star].constant_term
-        D = ring.truncation
 
         # self = c q^{e_star} (1 + u);  u = u_scal + u_nil.
         u = (self.shifted(-e_star) * (1 / c)) - QSeries.one(ring)
         u_scal, u_nil = u._split()
-        defect = self._grading_defect(u_nil)
-        pad = D * (1 + defect) + 1 if u_nil and min(u_nil) <= 0 else 0
+        exact_out = self.q_max is None and not u_scal
+        pad = 0 if exact_out else u._pad(u_nil, 0)
 
         target = ring.q_max if q_max is None else int(q_max)
-        exact_out = self.q_max is None and not u_scal
         if self.q_max is not None:
             target = min(target, self.q_max - 2 * e_star - pad)
         if not exact_out and target < -e_star:
@@ -342,7 +343,6 @@ class QSeries:
         If the input is exact and has no scalar part the result is exact.
         """
         ring = self.ring
-        D = ring.truncation
         scal, nil = self._split()
         if scal and min(scal) <= 0:
             raise ValueError(
@@ -350,8 +350,7 @@ class QSeries:
             )
         cutoff = None
         if scal or self.q_max is not None:
-            defect = self._grading_defect(nil)
-            pad = D * (1 + defect) + 1 if nil and min(nil) < 0 else 0
+            pad = self._pad(nil, -1)
             target = ring.q_max if q_max is None else int(q_max)
             if self.q_max is not None:
                 target = min(target, self.q_max - pad)
@@ -475,14 +474,14 @@ def q_exponential(ring: Ring, scale: Scalar, q_max: int | None = None) -> QSerie
 def compute_at_precision(
     fn: Callable[[int], QSeries], target: int, margin: int
 ) -> QSeries:
-    """Run fn at increasing working orders until it is reliable to target."""
-    m = max(margin, 1)
-    for _ in range(5):
-        out = fn(target + m)
-        if out.q_max is None or out.q_max >= target:
-            return out.truncated(target)
-        m *= 2
-    raise ArithmeticError("internal working precision did not reach the target")
+    """fn at the working order target + margin, truncated at target; raises
+    ArithmeticError if the result is not reliable up to target."""
+    out = fn(target + margin)
+    if out.q_max is not None and out.q_max < target:
+        raise ArithmeticError(
+            f"working order {target + margin} is reliable only to q^{out.q_max}, not q^{target}"
+        )
+    return out.truncated(target)
 
 
 # -- scalar Laurent kernels ------------------------------------------------------

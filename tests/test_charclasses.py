@@ -8,11 +8,13 @@ from chloc import (
     QSeries,
     Ring,
     bernoulli,
+    crosscheck_factors,
     equivariant_euler,
     euler_identity_check,
     hirzebruch_class,
     hirzebruch_coefficient,
     line_bundle,
+    localization_product,
     q_exponential,
     stirling2,
     sum_of_roots,
@@ -407,3 +409,24 @@ def test_identity_margin_stability():
         b = euler_identity_check(x, k, q_max=20)
         assert a.equal and b.equal
         assert a.rhs.truncated(8) == b.rhs.truncated(8)
+    # the same for the localization product and the crosscheck's Hirzebruch
+    # side, down to working orders below 1 (total rank 12, q_max 0)
+    for rank in (-12, -7, 0, 7, 12):
+        ring = sample_ring(rng, max_gens=2, max_truncation=3)
+        x = sample_kclass(rng, ring)
+        x = KClass(ring, rank, x.ch)
+        k = sample_weight(rng)
+        t = [(sample_kclass(rng, ring), sample_weight(rng))]
+
+        def products(q):
+            return {
+                "identity": euler_identity_check(x, k, q_max=q).rhs,
+                "localization": localization_product(x, -k, [], t, [], q_max=q).series,
+                "crosscheck": crosscheck_factors(ring, [(x, k)], q_max=q).side_hirzebruch,
+            }
+
+        wide = products(12)
+        for q in (0, 1, 3):
+            for name, series in products(q).items():
+                assert series.q_max == q, (name, rank, q)
+                assert series == wide[name], (name, rank, q)

@@ -223,3 +223,23 @@ def test_chain_analyze_aut_order_is_product():
     proc = run_cli("chain", "analyze", "40", "40", "40")
     assert proc.returncode == 0
     assert b"\naut_order: 64000\n" in proc.stdout
+
+
+def test_pair_without_class_exit_1(tmp_path):
+    f = tmp_path / "job.json"
+    f.write_text(
+        '{"chow": {"generators": [{"name": "x", "degree": 1}], "truncation": 1},'
+        ' "classes": [], "job": {"pairs": [{"weight": 1}]}}'
+    )
+    _assert_usage_error(run_cli("classes", "identity", "--job", str(f)), b"job.pairs[0].class")
+
+
+def test_deeply_nested_class_expression_exit_1(tmp_path):
+    expr = "(" * 300 + "x" + ")" * 300
+    f = tmp_path / "job.json"
+    f.write_text(
+        '{"chow": {"generators": [{"name": "x", "degree": 1}], "truncation": 2},'
+        f' "classes": [{{"name": "L", "rank": 1, "ch": {{"1": "{expr}"}}}}],'
+        ' "job": {"pairs": [{"class": "L", "weight": 1}]}}'
+    )
+    _assert_usage_error(run_cli("classes", "identity", "--job", str(f)), b"classes[0].ch.1")

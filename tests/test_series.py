@@ -5,6 +5,7 @@ import pytest
 
 from chloc import NotConvergentError, QSeries, Ring, q_exponential
 from chloc.sampling import sample_chow, sample_ring
+from chloc.series import compute_at_precision
 
 from oracles import reciprocal_expm1, ser_exp_x
 
@@ -53,6 +54,35 @@ def test_invert_requires_scalar_part():
         QSeries(r, {0: a}).invert()
     with pytest.raises(ZeroDivisionError):
         QSeries.zero(r).invert()
+
+
+def test_exp_and_invert_reject_pole_below_its_order():
+    # a at q^-2 has Chow degree 1 < 2: the fixed D + 1 padding cannot hold
+    r = _ring1(truncation=3)
+    a = r.generator("a")
+    with pytest.raises(ValueError, match="Chow degree"):
+        QSeries(r, {-2: a}, q_max=4).exp()
+    with pytest.raises(ValueError, match="Chow degree"):
+        QSeries(r, {0: r.one(), -2: a}, q_max=4).invert()
+    # exact results need no padding
+    assert QSeries(r, {-2: a}).exp() == QSeries(r, {0: r.one(), -2: a, -4: a * a / 2, -6: a**3 / 6})
+
+
+def test_compute_at_precision_calls_once():
+    r = _ring1()
+    orders = []
+
+    def fn(order):
+        orders.append(order)
+        return QSeries.from_scalars(r, {0: 1, 3: 2}, q_max=order - 2)
+
+    out = compute_at_precision(fn, 4, 2)
+    assert orders == [6]
+    assert out.q_max == 4 and out.coefficient(3) == r.const(2)
+    orders.clear()
+    with pytest.raises(ArithmeticError):
+        compute_at_precision(fn, 4, 1)  # reliable only to q^3
+    assert orders == [5]
 
 
 def test_limit_and_negative_part():
