@@ -227,7 +227,8 @@ def _weighted_list(doc, classes, ring, path) -> list[tuple[KClass, int]]:
     for i, item in enumerate(doc):
         p = f"{path}[{i}]"
         _require(isinstance(item, dict), p, "must be an object")
-        x = _resolve_class(item.get("class"), classes, ring, f"{p}.class")
+        _require(item.get("class") is not None, f"{p}.class", "missing class name")
+        x = _resolve_class(item["class"], classes, ring, f"{p}.class")
         out.append((x, _weight(item.get("weight"), f"{p}.weight")))
     return out
 
@@ -281,10 +282,8 @@ def _cmd_classes(args) -> int:
         items: list[tuple[str, KClass, int]] = []
         if "pairs" in job:
             pairs = _weighted_list(job["pairs"], classes, ring, "job.pairs")
-            for i, ((x, w), pair) in enumerate(zip(pairs, job["pairs"])):
-                name = pair.get("class")
-                _require(isinstance(name, str), f"job.pairs[{i}].class", "must be a class name")
-                items.append((f"{name}@{w}", x, w))
+            for (x, w), pair in zip(pairs, job["pairs"]):
+                items.append((f"{pair['class']}@{w}", x, w))
         else:
             for i, (x, w) in enumerate(_sampled(job, ring)):
                 items.append((f"sample[{i}]@{w}", x, w))

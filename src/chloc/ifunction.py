@@ -23,16 +23,27 @@ hypergeometric operator
 
 ``picard_fuchs_check`` verifies this coefficient-wise; see its docstring
 for the recurrence the operator imposes.
+
+Both I_k and every factor of the operator are a scalar times a product of
+linear forms a z + b q, so the module works with that factored form: an
+exact scalar and a map from primitive integer pairs (a, b) to exponents.
+It expands a factored form into a ``RatFunc`` only for ``ICoefficient.value``
+and for the residual of a failed Picard-Fuchs item.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import factorial, floor, gcd, lcm, perm
 
 from .chains import ChainData, SymmetryElement, is_calabi_yau, sector, weight_sequence
 from .ratfunc import BivarPoly, RatFunc
+
+# scalar * prod (a*z + b*q)^e over the items ((a, b), e) of the Counter, where
+# a, b are coprime integers whose first nonzero entry is positive and no e is 0.
+Factored = tuple[Fraction, Counter]
 
 
 @dataclass(frozen=True)
@@ -70,28 +81,70 @@ def b_range(chain: ChainData, j: int, k: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _linear_form(a, b) -> tuple[Fraction, tuple[int, int]]:
+    """Write a*z + b*q (not both zero) as s * (x*z + y*q), with x and y
+    coprime integers whose first nonzero entry is positive."""
+    a, b = Fraction(a), Fraction(b)
+    den = lcm(a.denominator, b.denominator)
+    x, y = int(a * den), int(b * den)
+    g = gcd(x, y)
+    if x < 0 or (x == 0 and y < 0):
+        g = -g
+    return Fraction(g, den), (x // g, y // g)
+
+
+def _times_forms(factored: Factored, forms) -> Factored:
+    """``factored`` times the linear forms a*z + b*q over the pairs (a, b)."""
+    scalar, exps = factored
+    exps = Counter(exps)
+    for a, b in forms:
+        s, key = _linear_form(a, b)
+        scalar *= s
+        exps[key] += 1
+    return scalar, Counter({key: e for key, e in exps.items() if e})
+
+
+def _i_factored(chain: ChainData, k: int) -> tuple[Factored, tuple[tuple[Fraction, ...], ...]]:
+    """I_k in factored form, with its b-progressions B_j(k)."""
+    kw = weight_sequence(chain)
+    b_sets = tuple(b_range(chain, j, k) for j in range(1, chain.n_variables + 1))
+    # -z / prod_{0 < b < k} b z = -z^(2-k) / (k-1)!
+    base = (Fraction(-1, factorial(k - 1)), Counter({(1, 0): 2 - k}))
+    return _times_forms(base, ((b, w) for bs, w in zip(b_sets, kw) for b in bs)), b_sets
+
+
+def _expand(forms) -> BivarPoly:
+    """The product of the linear forms a*z + b*q over the integer pairs (a, b)."""
+    coeffs = [1]  # coeffs[i] multiplies z^i q^(degree - i)
+    for a, b in forms:
+        nxt = [b * c for c in coeffs] + [0]
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] += a * c
+        coeffs = nxt
+    deg = len(coeffs) - 1
+    return BivarPoly({(i, deg - i): c for i, c in enumerate(coeffs)})
+
+
+def _to_ratfunc(factored: Factored) -> RatFunc:
+    """The factored form expanded; ``RatFunc`` reduces it to its canonical form."""
+    scalar, exps = factored
+    num = _expand(key for key, e in exps.items() for _ in range(e))
+    den = _expand(key for key, e in exps.items() for _ in range(-e))
+    return RatFunc(num * scalar, den)
+
+
 def i_coefficient(chain: ChainData, k: int) -> ICoefficient:
     """The coefficient of t^k of the equivariant small I-function."""
     if not is_calabi_yau(chain):
         raise ValueError("the small I-function needs a Calabi-Yau chain")
     if k < 1:
         raise ValueError("the level k must be a positive integer")
-    kw = weight_sequence(chain)
-    num = BivarPoly.linear(-1, 0)  # the overall factor -z
-    b_sets = []
-    for j in range(1, chain.n_variables + 1):
-        bs = b_range(chain, j, k)
-        b_sets.append(bs)
-        for b in bs:
-            num = num * BivarPoly.linear(b, kw[j - 1])
-    den = BivarPoly.constant(1)
-    for b in range(1, k):
-        den = den * BivarPoly.linear(b, 0)
+    factored, b_sets = _i_factored(chain, k)
     return ICoefficient(
         k=k,
         sector=sector(chain, k),
-        value=RatFunc(num, den),
-        b_sets=tuple(b_sets),
+        value=_to_ratfunc(factored),
+        b_sets=b_sets,
     )
 
 
@@ -138,19 +191,24 @@ def picard_fuchs_check(chain: ChainData, k_max: int) -> PFReport:
     * for m = k + d with k >= 1: the coefficient vanishes iff
 
         prod_{j=1}^{N} prod_{c=0}^{w_j-1} (c_j k z + c z + k_j q) * I_k
-            = prod_{c=1}^{d} (k + d - c) z * I_{k+d},
+            = prod_{c=1}^{d} (k + d - c) z * I_{k+d}.
 
-      an exact identity of rational functions, checked by cross-multiplying.
+    Both sides are a scalar times a product of powers of linear forms, each
+    form normalized to a primitive integer pair.  Q[z, q] is a unique
+    factorization domain, so the identity holds exactly when the scalars
+    agree and the two multisets of forms (exponent maps) agree; no
+    polynomial is expanded.  Only a failing item expands both sides into
+    rational functions, for its residual lhs - rhs.
     """
     if not is_calabi_yau(chain):
         raise ValueError("the Picard-Fuchs check needs a Calabi-Yau chain")
     d = chain.degree
     kw = weight_sequence(chain)
-    coeffs: dict[int, ICoefficient] = {}
+    coeffs: dict[int, Factored] = {}
 
-    def ic(k: int) -> ICoefficient:
+    def ic(k: int) -> Factored:
         if k not in coeffs:
-            coeffs[k] = i_coefficient(chain, k)
+            coeffs[k] = _i_factored(chain, k)[0]
         return coeffs[k]
 
     items = []
@@ -160,19 +218,17 @@ def picard_fuchs_check(chain: ChainData, k_max: int) -> PFReport:
             items.append(PFItem(m=m, ok=True, residual=None))
             continue
         k = m - d
-        lhs = ic(k).value
-        for j in range(1, chain.n_variables + 1):
-            cj = chain.charges[j - 1]
-            for c in range(chain.weights[j - 1]):
-                lhs = lhs * RatFunc.from_poly(BivarPoly.linear(cj * k + c, kw[j - 1]))
-        scale = 1
-        for c in range(1, d + 1):
-            scale *= k + d - c
-        rhs = ic(k + d).value * RatFunc.from_poly(
-            BivarPoly.constant(scale) * BivarPoly.z() ** d
-        )
+        lhs = _times_forms(ic(k), (
+            (cj * k + c, w)
+            for cj, wj, w in zip(chain.charges, chain.weights, kw)
+            for c in range(wj)
+        ))
+        scalar, exps = ic(k + d)
+        rhs = _times_forms((scalar * perm(k + d - 1, d), exps), [(1, 0)] * d)
         ok = lhs == rhs
-        items.append(PFItem(m=m, ok=ok, residual=None if ok else lhs - rhs))
+        items.append(PFItem(
+            m=m, ok=ok, residual=None if ok else _to_ratfunc(lhs) - _to_ratfunc(rhs)
+        ))
     return PFReport(chain=chain, items=tuple(items))
 
 

@@ -169,14 +169,6 @@ class BivarPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = BivarPoly.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def shift(self, di: int, dj: int) -> "BivarPoly":
         """Multiply by z^di q^dj (exponents must stay non-negative)."""
         return BivarPoly({(i + di, j + dj): c for (i, j), c in self._terms.items()})

@@ -1,14 +1,19 @@
-"""Independent truncated-series oracles used to freeze expected values.
+"""Independent oracles used to freeze expected values.
 
-Everything here works on plain coefficient lists over Fraction and never
-touches the library's ring or series machinery, so agreement between these
-expansions and the library is a genuine cross-check.
+The truncated-series oracles work on plain coefficient lists over Fraction
+and never touch the library's ring or series machinery, so agreement
+between these expansions and the library is a genuine cross-check.  The
+I-function oracles multiply linear forms out as ``BivarPoly``/``RatFunc``
+products and decide equality by cross-multiplication, never using the
+factored form of ``chloc.ifunction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+
+from chloc import BivarPoly, RatFunc, ifunction, weight_sequence
 
 
 def ser_trim(a: list[Fraction], order: int) -> list[Fraction]:
@@ -110,3 +115,52 @@ def line_hirzebruch(t: Fraction, order: int) -> list[Fraction]:
 def line_euler_twist(order: int) -> dict[int, Fraction]:
     """q / (1 - exp(-q)) as a Laurent map (all exponents >= 0)."""
     return {n: c for n, c in enumerate(line_todd(order)) if c}
+
+
+def i_value_product(chain, k: int) -> RatFunc:
+    """I_k = -z prod_j prod_{b in B_j(k)} (b z + k_j q) / prod_{0<b<k} b z,
+    multiplied out form by form.  B_j(k) is read from ``ifunction.b_range``
+    at call time, so a patched progression reaches this oracle too."""
+    kw = weight_sequence(chain)
+    num = BivarPoly.linear(-1, 0)
+    for j in range(1, chain.n_variables + 1):
+        for b in ifunction.b_range(chain, j, k):
+            num = num * BivarPoly.linear(b, kw[j - 1])
+    den = BivarPoly.constant(1)
+    for b in range(1, k):
+        den = den * BivarPoly.linear(b, 0)
+    return RatFunc(num, den)
+
+
+def pf_cross_multiply(chain, k_max: int, values=None) -> list[tuple[int, bool, RatFunc | None]]:
+    """(m, ok, residual) for t^1 .. t^k_max of the Picard-Fuchs recurrence
+
+        prod_{j,c} (c_j k z + c z + k_j q) * I_k = prod_{c=1}^{d} (k + d - c) z * I_{k+d}
+
+    at m = k + d, with both sides built as ``RatFunc`` products and compared
+    by cross-multiplication; the items m <= d hold trivially.  ``values``,
+    if given, is a dict k -> I_k that is read and filled with
+    ``i_value_product``."""
+    d = chain.degree
+    kw = weight_sequence(chain)
+    values = {} if values is None else values
+
+    def value(k):
+        if k not in values:
+            values[k] = i_value_product(chain, k)
+        return values[k]
+
+    out = [(m, True, None) for m in range(1, min(d, k_max) + 1)]
+    for m in range(d + 1, k_max + 1):
+        k = m - d
+        lhs = value(k)
+        for j in range(chain.n_variables):
+            for c in range(chain.weights[j]):
+                lhs = lhs * RatFunc.from_poly(BivarPoly.linear(chain.charges[j] * k + c, kw[j]))
+        scale = 1
+        for c in range(1, d + 1):
+            scale *= k + d - c
+        rhs = value(k + d) * RatFunc.from_poly(BivarPoly({(d, 0): scale}))
+        ok = lhs == rhs
+        out.append((m, ok, None if ok else lhs - rhs))
+    return out

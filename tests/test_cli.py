@@ -1,7 +1,9 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -243,3 +245,115 @@ def test_deeply_nested_class_expression_exit_1(tmp_path):
         ' "job": {"pairs": [{"class": "L", "weight": 1}]}}'
     )
     _assert_usage_error(run_cli("classes", "identity", "--job", str(f)), b"classes[0].ch.1")
+
+
+@pytest.mark.parametrize("mode,key,item", [
+    ("hodge", "pushed", '{"weight": 1}'),
+    ("general", "v", '{"weight": 1}'),
+    ("general", "t", '{"class": null, "weight": 1}'),
+    ("general", "n", '{"weight": 1}'),
+    ("tautrel", "factors", '{"weight": 1}'),
+    ("identity", "pairs", '{"class": null, "weight": 1}'),
+])
+def test_weighted_item_without_class_exit_1(tmp_path, mode, key, item):
+    # an item naming no class is an error, not the zero class
+    f = tmp_path / "job.json"
+    f.write_text(
+        '{"chow": {"generators": [{"name": "x", "degree": 1}], "truncation": 1},'
+        f' "classes": [], "job": {{"hodge": null, "hodge_weight": 1, "{key}": [{item}]}}}}'
+    )
+    _assert_usage_error(run_cli("classes", mode, "--job", str(f)), f"job.{key}[0].class".encode())
+
+
+# Runs each argv list read from stdin as ``python -m chloc`` would, in one
+# interpreter so that hundreds of runs stay cheap, and prints one
+# [exit code, stderr] pair per run.
+_FUZZ_RUNNER = r"""
+import contextlib, io, json, runpy, sys, traceback
+results = []
+for argv in json.load(sys.stdin):
+    sys.argv = ["chloc", *argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            runpy.run_module("chloc", run_name="__main__", alter_sys=True)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    results.append([code, err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+_FUZZ_VALUES = [None, True, 0, -1, 2, 1.5, "x", "", [], {}, [{}], {"class": "x"}]
+
+
+def _paths(doc, prefix=()):
+    """Every (key or index) path into a JSON document, the root excluded."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutate(doc, rng):
+    """doc with one value dropped, retyped, nested or negated (a list is
+    negated by doubling it, an object by emptying it)."""
+    path = rng.choice(list(_paths(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    kind = rng.choice(["drop", "type", "nest", "negate"])
+    if kind == "drop":
+        del parent[key]
+    elif kind == "type":
+        parent[key] = rng.choice([v for v in _FUZZ_VALUES if type(v) is not type(value)])
+    elif kind == "nest":
+        parent[key] = rng.choice([[value], {"value": value}])
+    elif isinstance(value, bool) or value is None:
+        parent[key] = not value
+    elif isinstance(value, (int, float)):
+        parent[key] = -value
+    elif isinstance(value, str):
+        parent[key] = "-" + value
+    else:
+        parent[key] = [value, value] if isinstance(value, list) else {}
+    return doc
+
+
+def test_fuzzed_golden_jobs_exit_cleanly(tmp_path):
+    # seeded one- to three-step mutations of the golden job files, run under
+    # their own mode or a random one: every run exits 0, 1 or 2, never with a
+    # traceback
+    rng = Random(20261018)
+    modes = ["hodge", "general", "identity", "tautrel"]
+    jobs = sorted(GOLDEN.glob("job_*.json"))
+    assert len(jobs) == 7
+    runs = []
+    for i in range(300):
+        job = rng.choice(jobs)
+        doc = json.loads(job.read_text())
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            if isinstance(doc, (dict, list)) and doc:
+                doc = _mutate(doc, rng)
+        f = tmp_path / f"job_{i}.json"
+        f.write_text(json.dumps(doc))
+        mode = job.stem.split("_")[1] if rng.random() < 0.8 else rng.choice(modes)
+        runs.append(["classes", mode, "--job", str(f)])
+    env = dict(os.environ, PYTHONPATH=child_pythonpath(os.environ.get("PYTHONPATH")))
+    env.pop("CHLOC_Q_MAX", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FUZZ_RUNNER],
+        input=json.dumps(runs).encode(), capture_output=True, env=env, cwd=GOLDEN,
+    )
+    assert_chloc_imported(proc)
+    assert proc.returncode == 0, proc.stderr.decode()
+    results = json.loads(proc.stdout)
+    assert len(results) == len(runs)
+    bad = [(argv, code, err) for argv, (code, err) in zip(runs, results)
+           if code not in (0, 1, 2) or "Traceback" in err]
+    assert not bad, bad[:3]
+    assert {code for code, _ in results} >= {0, 1, 2}

@@ -1,9 +1,13 @@
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from math import floor
 
 import pytest
 
+from chloc import ifunction
+from chloc.ifunction import _i_factored, _linear_form
+from oracles import i_value_product, pf_cross_multiply
 from chloc import (
     BivarPoly,
     RatFunc,
@@ -206,3 +210,95 @@ def test_big_i_factor_cases():
     assert big_i_factor(-2, F(3), 1) == 1 / RatFunc.from_poly(
         (2 * z + q) * (z + q)
     )
+
+
+def _cy_chains(max_n=4, max_a=6):
+    for n in range(1, max_n + 1):
+        for a in product(range(1, max_a + 1), repeat=n):
+            if a[-1] != 1 and is_calabi_yau(chain_solve(a)):
+                yield a
+
+
+def test_factored_pf_check_agrees_with_cross_multiplication():
+    # all 21 Calabi-Yau chains with n <= 4 and exponents <= 6, up to
+    # t^(degree + 16): item by item against the RatFunc-product oracle, and
+    # every printed I_k byte for byte against the multiplied-out value
+    chains = list(_cy_chains())
+    assert len(chains) == 21
+    for a in chains:
+        chain = chain_solve(a)
+        k_max = chain.degree + 16
+        report = picard_fuchs_check(chain, k_max)
+        values = {}
+        oracle = pf_cross_multiply(chain, k_max, values)
+        assert [(i.m, i.ok, i.residual) for i in report.items] == oracle, a
+        assert report.all_ok, a
+        for k in range(1, k_max + 1):
+            if k not in values:
+                values[k] = i_value_product(chain, k)
+            assert str(i_coefficient(chain, k).value) == str(values[k]), (a, k)
+
+
+def test_perturbed_b_range_fails_both_checks(monkeypatch):
+    chain = chain_solve([2, 2, 3])
+    original = ifunction.b_range
+    j0, k0 = 3, 7
+    assert original(chain, j0, k0)
+
+    def perturbed(chain_, j, k):
+        bs = original(chain_, j, k)
+        if (j, k) == (j0, k0):
+            bs = bs[:-1] + (bs[-1] + 1,)
+        return bs
+
+    monkeypatch.setattr(ifunction, "b_range", perturbed)
+    k_max = chain.degree + 16
+    report = picard_fuchs_check(chain, k_max)
+    oracle = pf_cross_multiply(chain, k_max)
+    failed = [item.m for item in report.failures()]
+    assert failed, "the perturbed I_k passed the factored check"
+    assert failed == [m for m, ok, _ in oracle if not ok]
+    for item in report.failures():
+        assert isinstance(item.residual, RatFunc) and not item.residual.is_zero
+    # I_7 is the left side at m = 7 + d and the right side at m = 7
+    assert failed == [k0, k0 + chain.degree]
+
+
+def test_perturbed_scalar_fails_factored_check(monkeypatch):
+    # equal multisets of forms with different scalars are not equal
+    chain = chain_solve([2, 2, 3])
+    original = ifunction._i_factored
+
+    def perturbed(chain_, k):
+        (scalar, exps), b_sets = original(chain_, k)
+        return (2 * scalar if k == 7 else scalar, exps), b_sets
+
+    monkeypatch.setattr(ifunction, "_i_factored", perturbed)
+    report = picard_fuchs_check(chain, chain.degree + 16)
+    assert [item.m for item in report.failures()] == [7, 7 + chain.degree]
+    for item in report.failures():
+        assert isinstance(item.residual, RatFunc) and not item.residual.is_zero
+
+
+def test_linear_form_normalization():
+    # pure z: the b*z denominator factors share one key
+    assert _linear_form(2, 0) == (2, (1, 0))
+    assert _linear_form(1, 0) == (1, (1, 0))
+    assert _linear_form(F(-5, 3), 0) == (F(-5, 3), (1, 0))
+    # pure q (b = 0 admissible): -q and q share a key, opposite scalars
+    assert _linear_form(0, -1) == (-1, (0, 1))
+    assert _linear_form(0, 1) == (1, (0, 1))
+    # mixed: primitive integers, first entry positive
+    assert _linear_form(F(1, 2), -3) == (F(1, 2), (1, -6))
+    assert _linear_form(-2, 4) == (-2, (1, -2))
+    assert _linear_form(F(-3, 4), F(3, 2)) == (F(-3, 4), (1, -2))
+    for a, b in [(F(7, 6), -2), (0, F(-9, 4)), (F(-4, 15), 0), (3, 6)]:
+        s, (x, y) = _linear_form(a, b)
+        assert s * BivarPoly.linear(x, y) == BivarPoly.linear(a, b)
+
+
+def test_i_factored_spot_values_223():
+    chain = chain_solve([2, 2, 3])
+    # I_2 = -1: the z^0 is dropped; I_3 = q/z carries a pure-q form (b = 0)
+    assert _i_factored(chain, 2)[0] == (F(-1), Counter())
+    assert _i_factored(chain, 3)[0] == (F(1), Counter({(0, 1): 1, (1, 0): -1}))
