@@ -27,6 +27,13 @@ is checked in this form: the rank factors on the right multiply to
 (1-e^{-kq})^rank (kq/(1-e^{-kq}))^rank = (kq)^rank, so the right side is
 (kq)^rank times one exp of the Hirzebruch and twist arguments.
 
+At t = exp(-kq) the Hirzebruch table needs no series t: its u = t/(1-t) is
+1/(e^{kq}-1) = sum_n B_n(0) k^{n-1} q^{n-1}/n!, taken up to q^{order+D+1}
+and fed to the same Stirling sum as for any other t.  That table and the
+Todd tables depend only on the integers (k, D, order), so each is built
+once and memoised (bounded caches, filled on first use); the cached tables
+are read-only mappings.
+
 Bernoulli values follow the B_1(0) = -1/2 convention (Bernoulli polynomial
 at 0), which is the one compatible with Td(L) = c_1 / (1 - exp(-c_1)).
 """
@@ -37,22 +44,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .rings import ChowElement, Ring
 from .series import (
     QSeries,
     ScalarSeries,
     compute_at_precision,
-    q_exponential,
     scalar_invert,
     scalar_mul,
     scalar_pow,
 )
 
 # l -> phi_l, the scalar Laurent series multiplying Ch_l (Ch_0 is the rank)
-Table = dict[int, ScalarSeries]
-_SCALARS = Ring([], 0)  # the rationals, for scalar tables
+Table = Mapping[int, Mapping[int, Fraction]]
+_TABLE_CACHE = 256  # tables kept per memoised table builder
 
 
 @lru_cache(maxsize=None)
@@ -97,11 +104,16 @@ def _hirzebruch_table(t, D: int) -> tuple[Table, int | None, ScalarSeries]:
         if t == 1:
             raise ValueError("the Hirzebruch class is undefined at t = 1")
         one_minus, u, order, valid = {0: 1 - t}, {0: t / (1 - t)} if t else {}, None, None
+    return _stirling_rows(u, D, order), valid, one_minus
+
+
+def _stirling_rows(u: ScalarSeries, D: int, cutoff: int | None) -> dict[int, ScalarSeries]:
+    """phi_l = -s_l(t) for l = 1..D from the powers of u = t/(1-t), each
+    power cut at q^cutoff."""
     powers = {1: u}
     for k in range(2, D + 1):
-        powers[k] = scalar_mul(powers[k - 1], u, order)
-    table = {l: {e: -v for e, v in _assemble_s(l, powers).items()} for l in range(1, D + 1)}
-    return table, valid, one_minus
+        powers[k] = scalar_mul(powers[k - 1], u, cutoff)
+    return {l: {e: -v for e, v in _assemble_s(l, powers).items()} for l in range(1, D + 1)}
 
 
 def _assemble_s(l: int, powers: dict[int, ScalarSeries]) -> ScalarSeries:
@@ -150,11 +162,17 @@ def _euler_table(weight: int, D: int, order: int | None = None) -> Table:
     return {l: {-l: Fraction(-factorial(l - 1), (-weight) ** l)} for l in range(1, D + 1)}
 
 
+def _frozen(table: dict[int, ScalarSeries]) -> Table:
+    """A read-only view of a table, safe to share from a cache."""
+    return MappingProxyType({l: MappingProxyType(phi) for l, phi in table.items()})
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
 def _todd_table(weight: int, D: int, order: int, first: int = 0) -> Table:
     """phi_j = -sum_{n=first}^{order} B_{n+j}(0)/(n+j) (kq)^n/n! over n+j >= 1:
     the equivariant Todd class Td(x (x) O(kq)) for first = 0, the twist
-    ratio Td(x (x) O(kq)) / Td(x) for first = 1."""
-    table: Table = {}
+    ratio Td(x (x) O(kq)) / Td(x) for first = 1.  Memoised, read-only."""
+    table = {}
     for j in range(D + 1):
         phi = {}
         for n in range(max(first, 1 - j), order + 1):
@@ -163,7 +181,7 @@ def _todd_table(weight: int, D: int, order: int, first: int = 0) -> Table:
                 phi[n] = v
         if phi:
             table[j] = phi
-    return table
+    return _frozen(table)
 
 
 def _twist_table(weight: int, D: int, order: int) -> Table:
@@ -171,17 +189,30 @@ def _twist_table(weight: int, D: int, order: int) -> Table:
     return _todd_table(weight, D, order, 1)
 
 
+def _reciprocal_expm1(weight: int, cutoff: int) -> ScalarSeries:
+    """u = t/(1-t) at t = exp(-kq), that is 1/(e^{kq}-1) =
+    sum_{n>=0} B_n(0) k^{n-1} q^{n-1}/n!, exact up to q^cutoff."""
+    k = Fraction(weight)
+    terms = ((n - 1, bernoulli(n) * k ** (n - 1) / factorial(n)) for n in range(cutoff + 2))
+    return {e: c for e, c in terms if c}
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
 def _exp_hirzebruch_table(weight: int, D: int, order: int) -> Table:
-    """The table of c_t at t = exp(-kq) for the rank factor (kq)^rank,
-    reliable up to ``order``: besides phi_l = -s_l(t) it has the rank row
+    """The table of c_t at t = exp(-kq) for the rank factor (kq)^rank, up
+    to ``order``: besides phi_l = -s_l(t) it has the rank row
     phi_0 = log((1 - exp(-kq))/(kq)) = sum_n B_n(0)/n (kq)^n/n!, which is
-    minus the rank row of the twist table.  The powers of t/(1-t) lose
-    D + 1 orders, so t is built that much deeper (and always with its
-    q-term)."""
-    t = q_exponential(_SCALARS, -weight, max(order + D + 1, 1))
-    table = _hirzebruch_table(t, D)[0]
+    minus the rank row of the twist table.
+
+    The rows phi_l are the Stirling sums of :func:`_stirling_rows` over the
+    powers of the Bernoulli series u = 1/(e^{kq}-1), cut at q^{order+D+1}
+    as the powers of u lose up to D + 1 orders.  Memoised per (k, D, order),
+    read-only."""
+    cutoff = order + D + 1
+    rows = _stirling_rows(_reciprocal_expm1(weight, cutoff), D, cutoff)
+    table = {l: {e: v for e, v in phi.items() if e <= order} for l, phi in rows.items()}
     table[0] = {n: -v for n, v in _twist_table(weight, D, order).get(0, {}).items()}
-    return table
+    return _frozen(table)
 
 
 def _euler_rank(ring: Ring, weighted: Iterable[tuple["KClass", int]]) -> QSeries:

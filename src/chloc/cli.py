@@ -120,6 +120,11 @@ def _require(cond: bool, path: str, message: str):
         raise JobError(path, message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_job(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -144,14 +149,14 @@ def _build_ring(doc: dict, q_max_flag: int | None) -> Ring:
         _require(isinstance(g, dict), p, "must be an object")
         _require(isinstance(g.get("name"), str), f"{p}.name", "must be a string")
         _require(
-            isinstance(g.get("degree"), int) and g["degree"] > 0,
+            _is_int(g.get("degree")) and g["degree"] > 0,
             f"{p}.degree",
             "must be a positive integer",
         )
         pairs.append((g["name"], g["degree"]))
     trunc = chow.get("truncation")
     _require(
-        isinstance(trunc, int) and trunc >= 0,
+        _is_int(trunc) and trunc >= 0,
         "chow.truncation",
         "must be a non-negative integer",
     )
@@ -160,7 +165,7 @@ def _build_ring(doc: dict, q_max_flag: int | None) -> Ring:
     elif "q_max" in chow:
         q_max = chow["q_max"]
         _require(
-            isinstance(q_max, int) and q_max >= 0, "chow.q_max", "must be a non-negative integer"
+            _is_int(q_max) and q_max >= 0, "chow.q_max", "must be a non-negative integer"
         )
     elif os.environ.get("CHLOC_Q_MAX"):
         try:
@@ -187,7 +192,7 @@ def _build_classes(doc: dict, ring: Ring) -> dict[str, KClass]:
         _require(isinstance(name, str) and bool(name), f"{p}.name", "must be a string")
         _require(name not in out, f"{p}.name", f"duplicate class name {name!r}")
         rank = entry.get("rank")
-        _require(isinstance(rank, int), f"{p}.rank", "must be an integer")
+        _require(_is_int(rank), f"{p}.rank", "must be an integer")
         ch_map = entry.get("ch", {})
         _require(isinstance(ch_map, dict), f"{p}.ch", "must be an object")
         ch = [ring.zero() for _ in range(ring.truncation)]
@@ -217,7 +222,7 @@ def _resolve_class(name, classes: dict[str, KClass], ring: Ring, path: str) -> K
 
 
 def _weight(value, path: str) -> int:
-    _require(isinstance(value, int) and value != 0, path, "must be a nonzero integer")
+    _require(_is_int(value) and value != 0, path, "must be a nonzero integer")
     return value
 
 
@@ -235,9 +240,9 @@ def _weighted_list(doc, classes, ring, path) -> list[tuple[KClass, int]]:
 
 def _sampled(job: dict, ring: Ring) -> list[tuple[KClass, int]]:
     """``job.count`` weighted classes drawn from ``Random(job.seed)``."""
-    _require(isinstance(job.get("seed"), int), "job.seed", "must be an integer")
+    _require(_is_int(job.get("seed")), "job.seed", "must be an integer")
     count = job.get("count")
-    _require(isinstance(count, int) and count > 0, "job.count", "must be a positive integer")
+    _require(_is_int(count) and count > 0, "job.count", "must be a positive integer")
     rng = Random(job["seed"])
     return [(sample_kclass(rng, ring), sample_weight(rng)) for _ in range(count)]
 
@@ -258,12 +263,9 @@ def _cmd_classes(args) -> int:
     classes = _build_classes(doc, ring)
     chain = None
     if "chain" in doc:
-        _require(
-            isinstance(doc["chain"], list)
-            and all(isinstance(x, int) for x in doc["chain"]),
-            "chain",
-            "must be a list of integers",
-        )
+        _require(isinstance(doc["chain"], list), "chain", "must be a list of integers")
+        for i, a in enumerate(doc["chain"]):
+            _require(_is_int(a), f"chain[{i}]", "must be an integer")
         try:
             chain = chain_solve(doc["chain"])
         except ValueError as exc:

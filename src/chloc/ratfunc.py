@@ -169,10 +169,6 @@ class BivarPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, di: int, dj: int) -> "BivarPoly":
-        """Multiply by z^di q^dj (exponents must stay non-negative)."""
-        return BivarPoly({(i + di, j + dj): c for (i, j), c in self._terms.items()})
-
     def evaluate(self, z_val: Scalar, q_val: Scalar) -> Fraction:
         z_val, q_val = Fraction(z_val), Fraction(q_val)
         return sum(

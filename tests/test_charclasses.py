@@ -21,6 +21,13 @@ from chloc import (
     todd,
     todd_twist_ratio,
 )
+from chloc.charclasses import (
+    _exp_hirzebruch_table,
+    _hirzebruch_table,
+    _reciprocal_expm1,
+    _todd_table,
+    _twist_table,
+)
 from chloc.sampling import sample_kclass, sample_ring, sample_weight
 
 from oracles import (
@@ -430,3 +437,109 @@ def test_identity_margin_stability():
             for name, series in products(q).items():
                 assert series.q_max == q, (name, rank, q)
                 assert series == wide[name], (name, rank, q)
+
+
+# -- the tables at t = exp(-kq) ---------------------------------------------------------
+
+# (k, D) -> every order at which acceptance criteria 1 and 7 and the identity
+# and localize benchmark workloads (seeds 1-3) build _exp_hirzebruch_table(k,
+# D, order), recorded by wrapping that function while they ran.
+_REACHED = {
+    (-1, 1): (3, 4, 7, 8, 15, 17),
+    (-1, 2): (8, 9, 10, 11, 13, 14, 16, 17, 18, 19, 20),
+    (-1, 3): (5, 10, 11, 12, 13, 15, 16, 17, 18, 20, 21, 22),
+    (-1, 4): (7, 8, 9, 11, 13, 14, 15, 16, 17, 18, 19, 20, 22, 23),
+    (-1, 5): (18, 19, 20),
+    (-1, 6): (17, 21, 22, 23),
+    (1, 1): (1, 2, 3, 4, 6, 7, 10, 12, 13, 15, 16, 18, 19),
+    (1, 2): (8, 9, 10, 13, 14, 16, 18),
+    (1, 3): (5, 7, 10, 11, 12, 13, 17, 19),
+    (1, 4): (7, 9, 10, 11, 12, 14, 15, 16, 17, 18, 21, 23),
+    (1, 5): (20, 23),
+    (1, 6): (17, 23),
+    (-2, 1): (1, 3, 4, 7, 9, 10, 13, 16, 17),
+    (-2, 2): (7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19),
+    (-2, 3): (5, 10, 12, 13, 14, 15, 16, 18, 19, 20, 21),
+    (-2, 4): (10, 11, 13, 14, 15, 16, 17, 19, 22, 23),
+    (-2, 5): (17, 18, 19, 21, 22),
+    (-2, 6): (17, 18, 20, 22, 23),
+    (2, 1): (1, 3, 4, 7, 8, 10, 12, 13, 14, 16, 18, 19),
+    (2, 2): (7, 8, 9, 10, 11, 12, 13, 14, 15, 17, 18, 20),
+    (2, 3): (5, 7, 9, 10, 11, 12, 14, 15, 16, 17, 22),
+    (2, 4): (7, 10, 13, 14, 16, 18),
+    (2, 5): (18, 19, 20, 21, 23),
+    (2, 6): (19, 21, 23),
+    (-3, 1): (1, 2, 3, 4, 5, 6, 7, 10, 14, 17, 18),
+    (-3, 2): (7, 8, 10, 11, 13, 15, 16, 18, 19),
+    (-3, 3): (10, 12, 13, 14, 16, 17, 18, 19, 22),
+    (-3, 4): (7, 13, 14, 15, 17, 19, 21),
+    (-3, 5): (16, 19, 20, 22, 23),
+    (-3, 6): (18, 19, 21, 22, 23, 24),
+    (3, 1): (1, 2, 4, 7, 8, 9, 10, 12, 13, 14, 16, 18),
+    (3, 2): (6, 8, 9, 10, 11, 13, 14, 16, 17, 18, 19),
+    (3, 3): (5, 7, 9, 10, 11, 12, 13, 14, 15, 18, 21),
+    (3, 4): (9, 10, 11, 12, 13, 15, 16, 17, 18, 20),
+    (3, 5): (17, 18, 19, 20, 22),
+    (3, 6): (19, 21, 24),
+}
+
+
+def test_bernoulli_u_matches_reciprocal_expm1():
+    # 1/(e^{kq} - 1) is 1/(e^x - 1) at x = kq
+    order = 30
+    recip = reciprocal_expm1(order)
+    for k in (1, 2, 3, -1, -2, -3):
+        expected = {e: c * F(k) ** e for e, c in recip.items() if e <= order}
+        assert _reciprocal_expm1(k, order) == expected
+
+
+def test_exp_hirzebruch_table_matches_stirling_form():
+    # the Bernoulli-u table against the Stirling form at the series
+    # t = exp(-kq), on every (k, D, order) the checks above reach
+    scalars = Ring([], 0)
+    for (k, D), orders in _REACHED.items():
+        top = max(orders)
+        t = q_exponential(scalars, -k, top + D + 1)
+        reference, valid, _ = _hirzebruch_table(t, D)
+        assert valid >= top
+        for order in orders:
+            table = _exp_hirzebruch_table(k, D, order)
+            assert set(table) == set(range(D + 1))
+            assert dict(table[0]) == {n: -v for n, v in _twist_table(k, D, order)[0].items()}
+            for l in range(1, D + 1):
+                expected = {e: v for e, v in reference[l].items() if e <= order}
+                assert dict(table[l]) == expected, (k, D, order, l)
+
+
+def test_cached_tables_are_read_only():
+    for table in (_exp_hirzebruch_table(2, 3, 10), _todd_table(-1, 2, 6), _twist_table(3, 2, 6)):
+        with pytest.raises(TypeError):
+            table[1] = {}
+        with pytest.raises(TypeError):
+            table[1][1] = F(1)
+        with pytest.raises(TypeError):
+            del table[1]
+
+
+def _seeded_products():
+    rng = Random(2718)
+    out = []
+    for _ in range(4):
+        ring = sample_ring(rng, max_truncation=3)
+        x, y = sample_kclass(rng, ring), sample_kclass(rng, ring)
+        k, j = sample_weight(rng), sample_weight(rng)
+        out.append(euler_identity_check(x, k, q_max=10))
+        out.append(crosscheck_factors(ring, [(x, k), (-y, j)], q_max=8))
+        out.append(localization_product(x, k, [(y, j)], [(x, j), (y, -k)], [(x + y, k)], q_max=8))
+    return out
+
+
+def test_results_do_not_depend_on_the_table_caches():
+    builders = (_exp_hirzebruch_table, _todd_table)
+    for f in builders:
+        f.cache_clear()
+    cold = _seeded_products()
+    hits = [f.cache_info().hits for f in builders]
+    warm = _seeded_products()
+    assert all(f.cache_info().hits > h for f, h in zip(builders, hits))
+    assert warm == cold

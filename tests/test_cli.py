@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -263,6 +264,51 @@ def test_weighted_item_without_class_exit_1(tmp_path, mode, key, item):
         f' "classes": [], "job": {{"hodge": null, "hodge_weight": 1, "{key}": [{item}]}}}}'
     )
     _assert_usage_error(run_cli("classes", mode, "--job", str(f)), f"job.{key}[0].class".encode())
+
+
+_BOOL_BASE = {
+    "chow": {"generators": [{"name": "x", "degree": 1}], "truncation": 1, "q_max": 4},
+    "classes": [{"name": "L", "rank": 1, "ch": {"1": "x"}}],
+    "chain": [2, 2, 3],
+}
+_PAIRS = {"pairs": [{"class": "L", "weight": 1}]}
+
+
+_BOOL_CASES = [
+    ("identity", _PAIRS, "chow.generators[0].degree"),
+    ("identity", _PAIRS, "chow.truncation"),
+    ("identity", _PAIRS, "chow.q_max"),
+    ("identity", _PAIRS, "classes[0].rank"),
+    ("identity", _PAIRS, "chain[0]"),
+    ("identity", _PAIRS, "job.pairs[0].weight"),
+    ("identity", {"seed": 7, "count": 2}, "job.seed"),
+    ("identity", {"seed": 7, "count": 2}, "job.count"),
+    ("hodge", {"hodge": "L", "hodge_weight": 2, "pushed": []}, "job.hodge_weight"),
+    ("general", {"hodge": "L", "hodge_weight": 2, "n": [{"class": "L", "weight": 1}]},
+     "job.n[0].weight"),
+    ("tautrel", {"factors": [{"class": "L", "weight": 1}]}, "job.factors[0].weight"),
+]
+
+
+@pytest.mark.parametrize("mode,job,path", _BOOL_CASES, ids=[c[2] for c in _BOOL_CASES])
+def test_boolean_integer_field_exit_1(tmp_path, monkeypatch, capsys, mode, job, path):
+    # JSON true is a bool, not an integer, even though Python's bool is an int
+    monkeypatch.delenv("CHLOC_Q_MAX", raising=False)
+    doc = json.loads(json.dumps({**_BOOL_BASE, "job": job}))
+    f = tmp_path / "job.json"
+    f.write_text(json.dumps(doc))
+    assert cli.main(["classes", mode, "--job", str(f)]) != 1, capsys.readouterr().err
+    capsys.readouterr()
+    *keys, last = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    parent = doc
+    for key in keys:
+        parent = parent[key]
+    parent[last] = True
+    f.write_text(json.dumps(doc))
+    assert cli.main(["classes", mode, "--job", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"chloc: schema error at {path}:")
 
 
 # Runs each argv list read from stdin as ``python -m chloc`` would, in one
