@@ -59,7 +59,11 @@ from .series import (
 
 # l -> phi_l, the scalar Laurent series multiplying Ch_l (Ch_0 is the rank)
 Table = Mapping[int, Mapping[int, Fraction]]
-_TABLE_CACHE = 256  # tables kept per memoised table builder
+# Tables kept per memoised table builder.  Distinct (k, D, order[, first])
+# keys per process: 11-13 in each benchmark workload, 145 (acceptance
+# criterion 1) and 165 (criterion 7), and 326 t = exp(-kq) tables and 433
+# Todd and twist tables for the whole test suite; a table is about 6 KB.
+_TABLE_CACHE = 1024
 
 
 @lru_cache(maxsize=None)
