@@ -2,25 +2,104 @@
 
 A :class:`Ring` is presented by named generators with positive integer
 degrees together with a truncation order ``D``: every monomial of total
-(weighted) degree above ``D`` is identically zero.  Elements are sparse maps
-from exponent vectors to :class:`~fractions.Fraction` coefficients, so all
-arithmetic is exact and the zero test is trivial.
+(weighted) degree above ``D`` is identically zero.
+
+An element stores integer numerators over one positive common denominator,
+the representation of FLINT's ``fmpq_poly``: ``_num`` maps a monomial index
+to a nonzero integer and ``_den`` is reduced against them, so that
+``gcd(_den, *_num.values()) == 1``.  Two elements are therefore equal
+exactly when their numerator maps and denominators are equal, and all
+arithmetic is exact integer arithmetic with one gcd per result.  The public
+methods (``items``, ``coefficient``, ``constant_term``) speak of exponent
+tuples and :class:`~fractions.Fraction` coefficients.
+
+Monomial indices are interned in one table per ring shape
+``(degrees, truncation)``, held at module level and shared by every equal
+:class:`Ring`, so elements of two equal Ring instances mix freely.  A table
+holds the index -> exponent tuple list, the exponent tuple -> index dict,
+the degree of each index, and product rows that fill lazily: ``rows[i][j]``
+is the index of m_i*m_j, or -1 when the product lies above the truncation.
+Nothing is enumerated up front and nothing is built at import; a table holds
+only the monomials some computation produced, so a ring with many
+generators costs what its elements touch.
 
 Values are immutable after construction and all operations are pure, so
-rings and elements may be shared freely between threads.
+rings and elements may be shared freely between threads.  A table only
+grows and never changes a published entry, so a lookup that hits takes no
+lock; a miss (interning a monomial, filling a row entry) runs under the
+table's lock.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 Scalar = int | Fraction
 
 _NAME_OK = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+
+
+class _Monomials:
+    """The interned monomials of one ring shape (see the module docstring)."""
+
+    __slots__ = ("truncation", "exps", "index", "degree", "rows", "_lock")
+
+    def __init__(self, ngens: int, truncation: int):
+        one = (0,) * ngens
+        self.truncation = truncation
+        self.exps: list[Monomial] = [one]
+        self.index: dict[Monomial, int] = {one: 0}
+        self.degree: list[int] = [0]
+        self.rows: list[dict[int, int]] = [{}]
+        self._lock = threading.Lock()
+
+    def intern(self, mono: Monomial, degree: int) -> int:
+        """The index of a monomial within the truncation, added on a miss."""
+        i = self.index.get(mono)
+        if i is None:
+            with self._lock:
+                i = self._add(mono, degree)
+        return i
+
+    def _add(self, mono: Monomial, degree: int) -> int:
+        # Caller holds the lock.  The index is published last, so a reader
+        # that finds it also finds the exponents, the degree and the row.
+        i = self.index.get(mono)
+        if i is None:
+            i = len(self.exps)
+            self.exps.append(mono)
+            self.degree.append(degree)
+            self.rows.append({})
+            self.index[mono] = i
+        return i
+
+    def product(self, i: int, j: int) -> int:
+        """Fill rows[i][j] and rows[j][i]: the index of m_i*m_j, or -1."""
+        with self._lock:
+            d = self.degree[i] + self.degree[j]
+            if d > self.truncation:
+                k = -1
+            else:
+                k = self._add(tuple(a + b for a, b in zip(self.exps[i], self.exps[j])), d)
+            self.rows[i][j] = self.rows[j][i] = k
+        return k
+
+
+_TABLES: dict[tuple[tuple[int, ...], int], _Monomials] = {}
+_TABLES_LOCK = threading.Lock()
+
+
+def _monomial_table(degrees: tuple[int, ...], truncation: int) -> _Monomials:
+    table = _TABLES.get((degrees, truncation))
+    if table is None:
+        with _TABLES_LOCK:
+            table = _TABLES.setdefault((degrees, truncation), _Monomials(len(degrees), truncation))
+    return table
 
 
 class Ring:
@@ -32,7 +111,7 @@ class Ring:
     Chow truncation ``D``.
     """
 
-    __slots__ = ("names", "degrees", "truncation", "q_max", "_index", "_deg_cache")
+    __slots__ = ("names", "degrees", "truncation", "q_max", "_index", "_mono")
 
     def __init__(
         self,
@@ -57,7 +136,7 @@ class Ring:
         self.truncation = int(truncation)
         self.q_max = 2 * self.truncation + 2 if q_max is None else int(q_max)
         self._index = {n: i for i, n in enumerate(names)}
-        self._deg_cache: dict[Monomial, int] = {}
+        self._mono = _monomial_table(degrees, self.truncation)
 
     # -- presentation ------------------------------------------------------
 
@@ -84,51 +163,57 @@ class Ring:
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> "ChowElement":
-        return ChowElement._raw(self, {})
+        return ChowElement._raw(self, {}, 1)
 
     def one(self) -> "ChowElement":
-        return ChowElement._raw(self, {(0,) * self.ngens: Fraction(1)})
+        return ChowElement._raw(self, {0: 1}, 1)
 
     def const(self, c: Scalar) -> "ChowElement":
         c = Fraction(c)
         if c == 0:
             return self.zero()
-        return ChowElement._raw(self, {(0,) * self.ngens: c})
+        return ChowElement._raw(self, {0: c.numerator}, c.denominator)
 
     def generator(self, name: str) -> "ChowElement":
         if name not in self._index:
             raise KeyError(f"unknown generator {name!r}")
         i = self._index[name]
-        mono = tuple(1 if j == i else 0 for j in range(self.ngens))
         if self.degrees[i] > self.truncation:
             return self.zero()
-        return ChowElement._raw(self, {mono: Fraction(1)})
+        mono = tuple(1 if j == i else 0 for j in range(self.ngens))
+        return ChowElement._raw(self, {self._mono.intern(mono, self.degrees[i]): 1}, 1)
 
     def gens(self) -> tuple["ChowElement", ...]:
         return tuple(self.generator(n) for n in self.names)
 
     def element(self, terms: Mapping[Monomial, Scalar]) -> "ChowElement":
         """Build an element from a monomial-to-coefficient mapping."""
-        out: dict[Monomial, Fraction] = {}
+        acc: dict[int, Fraction] = {}
         for mono, c in terms.items():
             mono = tuple(int(e) for e in mono)
             if len(mono) != self.ngens or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono!r}")
-            if self.monomial_degree(mono) > self.truncation:
+            d = self.monomial_degree(mono)
+            if d > self.truncation:
                 continue
             c = Fraction(c)
             if c:
-                out[mono] = out.get(mono, Fraction(0)) + c
-        return ChowElement._raw(self, {m: c for m, c in out.items() if c})
+                i = self._mono.intern(mono, d)
+                acc[i] = acc.get(i, 0) + c
+        den = 1
+        for c in acc.values():
+            den = lcm(den, c.denominator)
+        return ChowElement._reduced(
+            self, {i: c.numerator * (den // c.denominator) for i, c in acc.items()}, den
+        )
 
     # -- monomial helpers ----------------------------------------------------
 
     def monomial_degree(self, mono: Monomial) -> int:
-        d = self._deg_cache.get(mono)
-        if d is None:
-            d = sum(e * g for e, g in zip(mono, self.degrees))
-            self._deg_cache[mono] = d
-        return d
+        i = self._mono.index.get(mono)
+        if i is not None:
+            return self._mono.degree[i]
+        return sum(e * g for e, g in zip(mono, self.degrees))
 
     def monomials(self, degree: int) -> list[Monomial]:
         """All exponent vectors of exact weighted degree ``degree``."""
@@ -152,59 +237,112 @@ class Ring:
 class ChowElement:
     """An element of a :class:`Ring`: a sparse exact polynomial class.
 
-    Stored monomials never exceed the truncation degree and zero
-    coefficients are pruned eagerly, so two elements are equal exactly when
-    their term maps are equal.
+    Stored monomials never exceed the truncation degree, zero numerators
+    are pruned eagerly and the denominator is reduced, so two elements are
+    equal exactly when their numerator maps and denominators are equal.
     """
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = ("ring", "_num", "_den")
 
     def __init__(self, ring: Ring, terms: Mapping[Monomial, Scalar]):
         elem = ring.element(terms)
         self.ring = ring
-        self._terms = elem._terms
+        self._num = elem._num
+        self._den = elem._den
 
     @classmethod
-    def _raw(cls, ring: Ring, terms: dict[Monomial, Fraction]) -> "ChowElement":
-        # Internal fast path: terms must already be truncated and pruned.
+    def _raw(cls, ring: Ring, num: dict[int, int], den: int) -> "ChowElement":
+        # Internal fast path: num must be pruned of zeros and reduced
+        # against den > 0.
         self = object.__new__(cls)
         self.ring = ring
-        self._terms = terms
+        self._num = num
+        self._den = den
         return self
+
+    @classmethod
+    def _reduced(cls, ring: Ring, num: dict[int, int], den: int) -> "ChowElement":
+        """num / den with zero numerators pruned and the common factor removed."""
+        num = {i: v for i, v in num.items() if v}
+        if not num:
+            return cls._raw(ring, num, 1)
+        g = den
+        for v in num.values():
+            if g == 1:
+                return cls._raw(ring, num, den)
+            g = gcd(g, v)
+        if g != 1:
+            num = {i: v // g for i, v in num.items()}
+            den //= g
+        return cls._raw(ring, num, den)
+
+    @classmethod
+    def sum_of_products(
+        cls, ring: Ring, pairs: Sequence[tuple["ChowElement", "ChowElement"]]
+    ) -> "ChowElement":
+        """sum of x*y over (x, y) in pairs, all in ``ring``, as one
+        multiply-accumulate: the common denominator is the lcm of the
+        products of the operands' denominators, the numerators accumulate as
+        integers over the interned product rows, and one gcd follows."""
+        den = 1
+        for x, y in pairs:
+            d = x._den * y._den
+            if den % d:
+                den = lcm(den, d)
+        table = ring._mono
+        rows = table.rows
+        acc: dict[int, int] = {}
+        get = acc.get
+        for x, y in pairs:
+            f = den // (x._den * y._den)
+            rhs = list(y._num.items())
+            for i, a in x._num.items():
+                row = rows[i]
+                a *= f
+                for j, b in rhs:
+                    try:
+                        k = row[j]
+                    except KeyError:
+                        k = table.product(i, j)
+                    if k >= 0:
+                        acc[k] = get(k, 0) + a * b
+        return cls._reduced(ring, acc, den)
 
     # -- inspection ----------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self._terms.items())
+        exps, den = self.ring._mono.exps, self._den
+        return iter([(exps[i], Fraction(v, den)) for i, v in self._num.items()])
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(tuple(mono), Fraction(0))
+        i = self.ring._mono.index.get(tuple(mono))
+        return Fraction(self._num.get(i, 0), self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.ring.ngens, Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
 
     def homogeneous_part(self, degree: int) -> "ChowElement":
-        r = self.ring
-        return ChowElement._raw(
-            r, {m: c for m, c in self._terms.items() if r.monomial_degree(m) == degree}
+        deg = self.ring._mono.degree
+        return ChowElement._reduced(
+            self.ring, {i: v for i, v in self._num.items() if deg[i] == degree}, self._den
         )
 
     def is_homogeneous(self, degree: int) -> bool:
-        r = self.ring
-        return all(r.monomial_degree(m) == degree for m in self._terms)
+        deg = self.ring._mono.degree
+        return all(deg[i] == degree for i in self._num)
 
     def max_degree(self) -> int:
         """Largest degree of a stored monomial, or -1 for the zero element."""
-        r = self.ring
-        return max((r.monomial_degree(m) for m in self._terms), default=-1)
+        deg = self.ring._mono.degree
+        return max((deg[i] for i in self._num), default=-1)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -218,19 +356,17 @@ class ChowElement:
         if not isinstance(other, ChowElement):
             return NotImplemented
         self._check(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return ChowElement._raw(self.ring, out)
+        den = lcm(self._den, other._den)
+        f1, f2 = den // self._den, den // other._den
+        out = dict(self._num) if f1 == 1 else {i: v * f1 for i, v in self._num.items()}
+        for i, v in other._num.items():
+            out[i] = out.get(i, 0) + v * f2
+        return ChowElement._reduced(self.ring, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ChowElement._raw(self.ring, {m: -c for m, c in self._terms.items()})
+        return ChowElement._raw(self.ring, {i: -v for i, v in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -247,26 +383,14 @@ class ChowElement:
             c = Fraction(other)
             if not c:
                 return self.ring.zero()
-            return ChowElement._raw(self.ring, {m: c * v for m, v in self._terms.items()})
+            p = c.numerator
+            return ChowElement._reduced(
+                self.ring, {i: v * p for i, v in self._num.items()}, self._den * c.denominator
+            )
         if not isinstance(other, ChowElement):
             return NotImplemented
         self._check(other)
-        r = self.ring
-        trunc = r.truncation
-        rhs = [(m, c, r.monomial_degree(m)) for m, c in other._terms.items()]
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            d1 = r.monomial_degree(m1)
-            for m2, c2, d2 in rhs:
-                if d1 + d2 > trunc:
-                    continue
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
-                elif mono in out:
-                    del out[mono]
-        return ChowElement._raw(r, out)
+        return ChowElement.sum_of_products(self.ring, [(self, other)])
 
     __rmul__ = __mul__
 
@@ -328,16 +452,17 @@ class ChowElement:
             other = self.ring.const(other)
         if not isinstance(other, ChowElement):
             return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+        return self.ring == other.ring and self._den == other._den and self._num == other._num
 
     __hash__ = None  # mutable-looking container; identity-free equality only
 
     def _sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        r = self.ring
-        return sorted(self._terms.items(), key=lambda t: (r.monomial_degree(t[0]), t[0]))
+        table, den = self.ring._mono, self._den
+        order = sorted(self._num, key=lambda i: (table.degree[i], table.exps[i]))
+        return [(table.exps[i], Fraction(self._num[i], den)) for i in order]
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts: list[str] = []
         for mono, c in self._sorted_terms():

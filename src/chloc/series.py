@@ -23,6 +23,11 @@ Truncation bookkeeping:
   working order once and asks for it; a result short of the target raises
   ArithmeticError.
 
+A product groups the coefficient pairs by output exponent and builds each
+output coefficient with one multiply-accumulate on the integer kernel of
+:mod:`chloc.rings` (one common denominator, integer numerators, one gcd),
+so the nilpotent powers summed by exp cost no Chow sum per pair.
+
 The scalar helpers at the bottom operate on plain ``{exponent: Fraction}``
 maps with linear-recurrence kernels; the class methods route pure-scalar
 work through them.
@@ -283,7 +288,7 @@ class QSeries:
                 bounds.append(x.q_max + o)
         q_max = min(bounds) if bounds else None
         return QSeries._raw(
-            self.ring, _convolve(self._coeffs, other._coeffs, q_max), q_max
+            self.ring, _convolve(self.ring, self._coeffs, other._coeffs, q_max), q_max
         )
 
     __rmul__ = __mul__
@@ -437,24 +442,26 @@ def _cut(s: QSeries, cutoff: int | None) -> QSeries:
 
 
 def _convolve(
-    a: dict[int, ChowElement], b: dict[int, ChowElement], q_max: int | None
+    ring: Ring, a: dict[int, ChowElement], b: dict[int, ChowElement], q_max: int | None
 ) -> dict[int, ChowElement]:
-    out: dict[int, ChowElement] = {}
+    """The coefficients of the product of two series, dropping exponents
+    above q_max.  The coefficient pairs are grouped by output exponent and
+    each output coefficient is one multiply-accumulate over its group
+    (:meth:`ChowElement.sum_of_products`), so a pair costs no Chow sum and
+    no normalization of its own."""
+    groups: dict[int, list[tuple[ChowElement, ChowElement]]] = {}
     b_items = sorted(b.items())
     for e1, c1 in sorted(a.items()):
         for e2, c2 in b_items:
             e = e1 + e2
             if q_max is not None and e > q_max:
                 break  # b_items ascending
-            p = c1 * c2
-            if p.is_zero:
-                continue
-            s = out.get(e)
-            s = p if s is None else s + p
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            groups.setdefault(e, []).append((c1, c2))
+    out: dict[int, ChowElement] = {}
+    for e, pairs in groups.items():
+        c = ChowElement.sum_of_products(ring, pairs)
+        if c:
+            out[e] = c
     return out
 
 

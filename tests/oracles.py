@@ -3,6 +3,8 @@
 The truncated-series oracles work on plain coefficient lists over Fraction
 and never touch the library's ring or series machinery, so agreement
 between these expansions and the library is a genuine cross-check.  The
+truncated-polynomial oracles work the same way on plain
+``{exponent tuple: Fraction}`` maps, apart from ``chloc.rings``.  The
 I-function oracles multiply linear forms out as ``BivarPoly``/``RatFunc``
 products and decide equality by cross-multiplication, never using the
 factored form of ``chloc.ifunction``.
@@ -14,6 +16,59 @@ from fractions import Fraction
 from math import factorial
 
 from chloc import BivarPoly, RatFunc, ifunction, weight_sequence
+
+
+def poly_trunc(a: dict, degrees, truncation: int) -> dict:
+    """A plain ``{exponent tuple: Fraction}`` map without its zero terms
+    and without its monomials of weighted degree above the truncation."""
+    return {
+        m: Fraction(c)
+        for m, c in a.items()
+        if c and sum(e * g for e, g in zip(m, degrees)) <= truncation
+    }
+
+
+def poly_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def poly_scale(c, a: dict) -> dict:
+    return {m: Fraction(c) * x for m, x in a.items() if c}
+
+
+def poly_mul(a: dict, b: dict, degrees, truncation: int) -> dict:
+    """The truncated product, by the schoolbook double loop."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return poly_trunc(out, degrees, truncation)
+
+
+def poly_exp(a: dict, degrees, truncation: int) -> dict:
+    """sum_m a^m/m! for a with no constant term (a finite sum)."""
+    one = {(0,) * len(degrees): Fraction(1)}
+    out, power = one, one
+    for m in range(1, truncation + 1):
+        power = poly_mul(power, a, degrees, truncation)
+        out = poly_add(out, poly_scale(Fraction(1, factorial(m)), power))
+    return out
+
+
+def poly_inverse(a: dict, degrees, truncation: int) -> dict:
+    """1/a for a with a nonzero constant c: (1/c) sum_m (1 - a/c)^m."""
+    zero = (0,) * len(degrees)
+    c = a[zero]
+    n = poly_add({zero: Fraction(1)}, poly_scale(-1 / c, a))
+    out = power = {zero: Fraction(1)}
+    for _ in range(truncation):
+        power = poly_mul(power, n, degrees, truncation)
+        out = poly_add(out, power)
+    return poly_scale(1 / c, out)
 
 
 def ser_trim(a: list[Fraction], order: int) -> list[Fraction]:

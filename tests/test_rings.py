@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 from fractions import Fraction as F
 from random import Random
 
@@ -5,6 +8,8 @@ import pytest
 
 from chloc import Ring
 from chloc.sampling import sample_chow, sample_ring
+
+from oracles import poly_add, poly_exp, poly_inverse, poly_mul, poly_scale, poly_trunc
 
 
 def test_truncation_rule():
@@ -121,3 +126,145 @@ def test_monomials_enumeration():
     assert r.monomials(2) == [(0, 1), (2, 0)]
     assert r.monomials(0) == [(0, 0)]
     assert r.monomials(5) == []
+
+
+# -- the integer kernel against the plain {exponent tuple: Fraction} oracle -----
+
+# (degrees, truncation): the rational ring, truncation 0, a generator above D,
+# and mixed degrees
+KERNEL_SHAPES = [((), 0), ((1, 1), 0), ((1, 4), 3), ((1, 2, 3), 6)]
+
+
+def _exponents(degrees, bound):
+    """Every exponent vector of weighted degree <= bound."""
+    out = [()]
+    for g in degrees:
+        out = [m + (e,) for m in out for e in range(bound // g + 1)]
+    return [m for m in out if sum(e * g for e, g in zip(m, degrees)) <= bound]
+
+
+def _random_terms(rng, degrees, truncation, dense):
+    """Seeded terms with negative and non-integral coefficients, some of
+    them above the truncation (the ring must drop those)."""
+    monos = _exponents(degrees, truncation + 2)
+    count = len(monos) if dense else rng.randint(1, min(3, len(monos)))
+    return {
+        m: F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 7]))
+        for m in rng.sample(monos, count)
+    }
+
+
+def test_kernel_matches_oracle():
+    rng = Random(20261018)
+    for degrees, D in KERNEL_SHAPES:
+        ring = Ring([(f"g{i}", d) for i, d in enumerate(degrees)], D)
+        for _ in range(12):
+            dense_x, dense_y = rng.random() < 0.5, rng.random() < 0.5
+            tx = _random_terms(rng, degrees, D, dense_x)
+            ty = _random_terms(rng, degrees, D, dense_y)
+            x, y = ring.element(tx), ring.element(ty)
+            ox, oy = poly_trunc(tx, degrees, D), poly_trunc(ty, degrees, D)
+            s = F(rng.randint(-5, 5), rng.randint(1, 5))
+            assert dict(x.items()) == ox
+            assert dict((x + y).items()) == poly_add(ox, oy)
+            assert dict((x - y).items()) == poly_add(ox, poly_scale(-1, oy))
+            assert dict((x * y).items()) == poly_mul(ox, oy, degrees, D)
+            assert x * y == ring.element(poly_mul(ox, oy, degrees, D))
+            assert x + y == ring.element(poly_add(ox, oy))
+            assert dict((x * s).items()) == poly_scale(s, ox)
+            assert dict((s * y + x).items()) == poly_add(poly_scale(s, oy), ox)
+            nil = x - x.constant_term
+            assert dict(nil.exp().items()) == poly_exp(dict(nil.items()), degrees, D)
+            unit = nil + s if s else nil + 1
+            assert dict(unit.inverse().items()) == poly_inverse(dict(unit.items()), degrees, D)
+            assert x * y == y * x and (x * y) * x == x * (y * x)
+
+
+def test_equal_rings_share_monomials():
+    # Two equal Ring instances of a shape no other test uses, with the same
+    # monomials created in opposite orders.
+    gens = [("u", 1), ("v", 1), ("w", 3)]
+    monos = [(1, 0, 0), (0, 1, 0), (2, 1, 0), (0, 0, 1), (1, 2, 0), (3, 0, 0)]
+    r1, r2 = Ring(gens, 5), Ring(gens, 5)
+    assert r1 is not r2 and r1 == r2
+    x1 = r1.element({m: i + 1 for i, m in enumerate(monos)})
+    y2 = r2.element({m: F(1, i + 2) for i, m in reversed(list(enumerate(monos)))})
+    x2 = r2.element({m: i + 1 for i, m in reversed(list(enumerate(monos)))})
+    y1 = r1.element({m: F(1, i + 2) for i, m in enumerate(monos)})
+    assert x1 == x2 and y1 == y2 and x1 != y2
+    assert dict(x1.items()) == dict(x2.items())
+    assert x1 + y2 == x1 + y1 == x2 + y2
+    assert x1 * y2 == x1 * y1 == x2 * y1
+    assert dict((x2 * y1).items()) == dict((x1 * y1).items())
+    assert str(x1 * y2) == str(x2 * y2)
+
+
+def test_threads_share_a_fresh_shape():
+    # Four threads build and multiply the same seeded elements in a ring
+    # shape no other test uses; every miss in its table happens under
+    # contention.
+    degrees, D = (1, 1, 1, 2), 7
+    gens = [(n, d) for n, d in zip("pqrs", degrees)]
+    rng = Random(44)
+    inputs = [_random_terms(rng, degrees, D, dense=False) for _ in range(6)]
+
+    def work(ring):
+        xs = [ring.element(t) for t in inputs]
+        out = []
+        for x in xs:
+            for y in xs:
+                p = x * y
+                out.append((dict(p.items()), str(p), dict((p - p.constant_term).exp().items())))
+        return out
+
+    results: list = [None] * 4
+
+    def run(slot):
+        results[slot] = work(Ring(gens, D))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    single = work(Ring(gens, D))
+    assert results == [single] * 4
+    ox = [poly_trunc(t, degrees, D) for t in inputs]
+    assert [p for p, _, _ in single] == [poly_mul(a, b, degrees, D) for a in ox for b in ox]
+
+
+def test_sparse_large_ring_touches_only_its_monomials():
+    # 12 degree-1 generators at truncation 10 have 646,646 monomials; sparse
+    # work must intern only the monomials it produces.
+    degrees, D = (1,) * 12, 10
+    ring = Ring([(f"x{i}", 1) for i in range(12)], D)
+    table = ring._mono
+    before = set(table.exps)
+
+    def unit(*i):
+        return tuple(int(j in i) for j in range(12))
+
+    tx = {unit(0): F(1, 2), unit(1): 3, unit(2, 3): F(-2, 3)}
+    ty = {unit(4, 5): 1, unit(6): F(5, 7), unit(7, 8, 9): -1}
+    t0 = time.perf_counter()
+    x, y = ring.element(tx), ring.element(ty)
+    p, ex, ey = x * y, x.exp(), y.exp()
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0
+    assert dict(p.items()) == poly_mul(tx, ty, degrees, D)
+    assert dict(ex.items()) == poly_exp(tx, degrees, D)
+    assert dict(ey.items()) == poly_exp(ty, degrees, D)
+    produced = {(0,) * 12} | set(tx) | set(ty) | set(dict(p.items()))
+    for t in (tx, ty):
+        power = {(0,) * 12: F(1)}
+        for _ in range(D):
+            power = poly_mul(power, t, degrees, D)
+            produced |= set(power)
+    assert set(table.exps) - before == produced - before
+    assert len(table.exps) < 1000

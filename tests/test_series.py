@@ -7,7 +7,7 @@ from chloc import NotConvergentError, QSeries, Ring, q_exponential
 from chloc.sampling import sample_chow, sample_ring
 from chloc.series import compute_at_precision
 
-from oracles import reciprocal_expm1, ser_exp_x
+from oracles import poly_add, poly_mul, reciprocal_expm1, ser_exp_x
 
 
 def _ring1(truncation=1):
@@ -184,3 +184,36 @@ def test_str_roundtrippable_format():
     assert str(s) == "(a)*q^-1 + (1)"
     assert str(QSeries.zero(r)) == "0"
     assert str(QSeries.from_scalars(r, {2: 3}, q_max=4)) == "(3)*q^2 + O(q^5)"
+
+
+def test_product_matches_plain_double_loop():
+    # Every output coefficient is one multiply-accumulate over its pairs;
+    # the oracle multiplies each pair of coefficients apart and sums them.
+    rng = Random(515)
+    for _ in range(20):
+        ring = sample_ring(rng)
+        degrees, D = ring.degrees, ring.truncation
+
+        def draw():
+            coeffs = {
+                e: sample_chow(rng, ring, rng.randint(0, D), max_terms=3)
+                + sample_chow(rng, ring, rng.randint(0, D))
+                + F(rng.choice([0, 0, 1, -2]), 3)
+                for e in rng.sample(range(-3, 5), rng.randint(1, 5))
+            }
+            return {e: c for e, c in coeffs.items() if c}
+
+        a, b = draw(), draw()
+        q_max = rng.choice([None, rng.randint(0, 6)])
+        if not a or not b:
+            continue
+        prod = QSeries(ring, a) * QSeries(ring, b, q_max)
+        expected: dict = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                if q_max is not None and e1 + e2 > q_max + min(a):
+                    continue
+                term = poly_mul(dict(c1.items()), dict(c2.items()), degrees, D)
+                expected[e1 + e2] = poly_add(expected.get(e1 + e2, {}), term)
+        got = {e: dict(prod.coefficient(e).items()) for e in prod.exponents()}
+        assert got == {e: c for e, c in expected.items() if c}
