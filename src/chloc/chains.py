@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,27 @@ class ChainData:
 
 @dataclass(frozen=True, order=True)
 class SymmetryElement:
-    """A diagonal symmetry, as its vector of exponents in [0, 1)."""
+    """A diagonal symmetry, as its vector of exponents in [0, 1).
+
+    The exponents are exact: each is reduced mod 1 as a ``Fraction``, and a
+    ``float`` is rejected, since its binary value is not the rational meant.
+    """
 
     theta: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if any(isinstance(t, float) for t in self.theta):
+            raise TypeError("symmetry exponents must be exact rationals, not floats")
         object.__setattr__(
             self, "theta", tuple(Fraction(t) % 1 for t in self.theta)
         )
+
+    @classmethod
+    def _reduced(cls, theta: tuple[Fraction, ...]) -> "SymmetryElement":
+        """The element with exponents ``theta``, already Fractions in [0, 1)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "theta", theta)
+        return self
 
     def __mul__(self, other: "SymmetryElement") -> "SymmetryElement":
         if len(self.theta) != len(other.theta):
@@ -89,9 +102,12 @@ def chain_solve(exponents) -> ChainData:
     The charges satisfy q_N = 1/a_N and q_j = (1 - q_{j+1}) / a_j; the
     degree is the least common denominator, which makes the weight vector
     primitive.  A final exponent a_N = 1 is rejected: the last variable
-    would enter only linearly and the singularity degenerates.
+    would enter only linearly and the singularity degenerates.  Every
+    exponent must be an ``int`` (not a ``bool``): nothing is truncated.
     """
-    a = tuple(int(x) for x in exponents)
+    a = tuple(exponents)
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in a):
+        raise ValueError("exponents must be integers")
     if not a:
         raise ValueError("need at least one exponent")
     if any(x < 1 for x in a):
@@ -142,24 +158,25 @@ def is_symmetry(chain: ChainData, g: SymmetryElement) -> bool:
 
 
 def symmetry_group(chain: ChainData) -> list[SymmetryElement]:
-    """All diagonal symmetries, by back-substitution from the last variable.
+    """All diagonal symmetries, sorted: a cyclic group of order
+    p = a_1 * a_2 * ... * a_N.
 
-    The result has exactly a_1 * a_2 * ... * a_N elements, sorted, and is
-    closed under the group operations.
+    theta_1 determines the rest through theta_{j+1} = -a_j * theta_j mod 1,
+    and the last constraint a_N * theta_N = +-p * theta_1 = 0 mod 1 holds
+    exactly when theta_1 = t/p.  So the elements are t = 0 .. p - 1 in
+    increasing order of theta_1, which is their sorted order, and every
+    entry is some t_j/p with t_{j+1} = -a_j * t_j mod p.  The walk runs on
+    these integers and makes each of the p values ``Fraction(t, p)`` once.
     """
     a = chain.exponents
-    n = len(a)
-    partial: list[tuple[Fraction, ...]] = [()]
-    # Build from the tail: theta_N runs over m/a_N, then each theta_j solves
-    # a_j * theta_j = -theta_{j+1} mod 1 in a_j ways.
-    for j in range(n - 1, -1, -1):
-        nxt: list[tuple[Fraction, ...]] = []
-        for tail in partial:
-            base = (-tail[0] if tail else Fraction(0)) % 1
-            for m in range(a[j]):
-                nxt.append(((base + m) / a[j],) + tail)
-        partial = nxt
-    out = sorted(SymmetryElement(t) for t in partial)
+    p = prod(a)
+    frac = [Fraction(t, p) for t in range(p)]
+    out = []
+    for t in range(p):
+        ts = [t]
+        for aj in a[:-1]:
+            ts.append(-aj * ts[-1] % p)
+        out.append(SymmetryElement._reduced(tuple(frac[x] for x in ts)))
     return out
 
 

@@ -27,8 +27,16 @@ for the recurrence the operator imposes.
 Both I_k and every factor of the operator are a scalar times a product of
 linear forms a z + b q, so the module works with that factored form: an
 exact scalar and a map from primitive integer pairs (a, b) to exponents.
-It expands a factored form into a ``RatFunc`` only for ``ICoefficient.value``
-and for the residual of a failed Picard-Fuchs item.
+Every b in B_j(k) is n/d with an integer n (d the degree of the chain), so
+each form b z + k_j q is (n z + d k_j q)/d, and its primitive pair and
+content come from one integer gcd; a whole product makes one ``Fraction``
+scalar.  The factored form is expanded into a ``RatFunc`` only for
+``ICoefficient.value``, ``big_i_factor`` and the residual of a failed
+Picard-Fuchs item.  That expansion needs no polynomial gcd: the numerator
+and denominator forms are distinct primitive forms, hence coprime, and by
+Gauss's lemma each product has content 1 and a positive leading
+coefficient, so scalar * numerator / denominator is already ``RatFunc``'s
+canonical form.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, floor, gcd, lcm, perm
+from math import factorial, gcd, lcm, perm
 
 from .chains import ChainData, SymmetryElement, is_calabi_yau, sector, weight_sequence
 from .ratfunc import BivarPoly, RatFunc
@@ -60,6 +68,20 @@ class ICoefficient:
         return self.sector.is_broad
 
 
+def _b_numerators(chain: ChainData, j: int, k: int) -> range:
+    """The numerators n of the b = n/d in B_j(k), d the degree of the chain.
+
+    c_j * k = w_j * k / d, so n runs from w_j * k mod d in steps of d while
+    below w_j * k; n = 0 (b = 0) stays only when N - j is odd.
+    """
+    d = chain.degree
+    top = chain.weights[j - 1] * k
+    start = top % d
+    if start == 0 and (chain.n_variables - j) % 2 == 0:
+        start = d
+    return range(start, top, d)
+
+
 def b_range(chain: ChainData, j: int, k: int) -> tuple[Fraction, ...]:
     """The admissible b-progression for variable j (1-based) at level k.
 
@@ -67,18 +89,18 @@ def b_range(chain: ChainData, j: int, k: int) -> tuple[Fraction, ...]:
     shifted up while staying below c_j * k; b = 0 is allowed only when
     N - j is odd.
     """
-    n = chain.n_variables
-    if not 1 <= j <= n:
+    if not 1 <= j <= chain.n_variables:
         raise ValueError("variable index out of range")
-    top = chain.charges[j - 1] * k
-    delta = -1 if (n - j) % 2 == 1 else 0
-    b = top - floor(top)  # fractional part
-    out = []
-    while b < top:
-        if b > delta and b >= 0:
-            out.append(b)
-        b += 1
-    return tuple(out)
+    return tuple(Fraction(n, chain.degree) for n in _b_numerators(chain, j, k))
+
+
+def _primitive(x: int, y: int) -> tuple[int, tuple[int, int]]:
+    """Write x*z + y*q (integers, not both zero) as g * (x'*z + y'*q), with
+    x' and y' coprime and the first nonzero one positive."""
+    g = gcd(x, y)
+    if x < 0 or (x == 0 and y < 0):
+        g = -g
+    return g, (x // g, y // g)
 
 
 def _linear_form(a, b) -> tuple[Fraction, tuple[int, int]]:
@@ -86,35 +108,32 @@ def _linear_form(a, b) -> tuple[Fraction, tuple[int, int]]:
     coprime integers whose first nonzero entry is positive."""
     a, b = Fraction(a), Fraction(b)
     den = lcm(a.denominator, b.denominator)
-    x, y = int(a * den), int(b * den)
-    g = gcd(x, y)
-    if x < 0 or (x == 0 and y < 0):
-        g = -g
-    return Fraction(g, den), (x // g, y // g)
+    g, key = _primitive(int(a * den), int(b * den))
+    return Fraction(g, den), key
 
 
-def _times_forms(factored: Factored, forms) -> Factored:
-    """``factored`` times the linear forms a*z + b*q over the pairs (a, b)."""
-    scalar, exps = factored
-    exps = Counter(exps)
-    for a, b in forms:
-        s, key = _linear_form(a, b)
-        scalar *= s
-        exps[key] += 1
-    return scalar, Counter({key: e for key, e in exps.items() if e})
+def _i_factored(chain: ChainData, k: int) -> tuple[Factored, tuple[range, ...]]:
+    """I_k in factored form, with the numerators over the degree d of its
+    b-progressions B_j(k)."""
+    d = chain.degree
+    nums = tuple(_b_numerators(chain, j, k) for j in range(1, chain.n_variables + 1))
+    # -z / prod_{0 < b < k} b z = -z^(2-k) / (k-1)!; no k_j is 0, so no form
+    # below is a multiple of z and the key (1, 0) keeps this exponent
+    exps = Counter({(1, 0): 2 - k} if k != 2 else ())
+    content, count = -1, 0
+    for ns, kj in zip(nums, weight_sequence(chain)):
+        for n in ns:
+            # b z + k_j q = (n z + d k_j q) / d
+            g, key = _primitive(n, d * kj)
+            content *= g
+            exps[key] += 1
+            count += 1
+    return (Fraction(content, factorial(k - 1) * d**count), exps), nums
 
 
-def _i_factored(chain: ChainData, k: int) -> tuple[Factored, tuple[tuple[Fraction, ...], ...]]:
-    """I_k in factored form, with its b-progressions B_j(k)."""
-    kw = weight_sequence(chain)
-    b_sets = tuple(b_range(chain, j, k) for j in range(1, chain.n_variables + 1))
-    # -z / prod_{0 < b < k} b z = -z^(2-k) / (k-1)!
-    base = (Fraction(-1, factorial(k - 1)), Counter({(1, 0): 2 - k}))
-    return _times_forms(base, ((b, w) for bs, w in zip(b_sets, kw) for b in bs)), b_sets
-
-
-def _expand(forms) -> BivarPoly:
-    """The product of the linear forms a*z + b*q over the integer pairs (a, b)."""
+def _expand(forms, scalar: Fraction) -> BivarPoly:
+    """scalar times the product of the linear forms a*z + b*q over the
+    integer pairs (a, b)."""
     coeffs = [1]  # coeffs[i] multiplies z^i q^(degree - i)
     for a, b in forms:
         nxt = [b * c for c in coeffs] + [0]
@@ -122,15 +141,18 @@ def _expand(forms) -> BivarPoly:
             nxt[i + 1] += a * c
         coeffs = nxt
     deg = len(coeffs) - 1
-    return BivarPoly({(i, deg - i): c for i, c in enumerate(coeffs)})
+    return BivarPoly._raw({(i, deg - i): scalar * c for i, c in enumerate(coeffs) if c})
 
 
 def _to_ratfunc(factored: Factored) -> RatFunc:
-    """The factored form expanded; ``RatFunc`` reduces it to its canonical form."""
+    """The factored form expanded, already in canonical form (see the
+    module docstring): the exponent map holds each form once, so the
+    numerator and denominator forms are distinct."""
     scalar, exps = factored
-    num = _expand(key for key, e in exps.items() for _ in range(e))
-    den = _expand(key for key, e in exps.items() for _ in range(-e))
-    return RatFunc(num * scalar, den)
+    return RatFunc._raw(
+        _expand((key for key, e in exps.items() for _ in range(e)), scalar),
+        _expand((key for key, e in exps.items() for _ in range(-e)), Fraction(1)),
+    )
 
 
 def i_coefficient(chain: ChainData, k: int) -> ICoefficient:
@@ -139,12 +161,13 @@ def i_coefficient(chain: ChainData, k: int) -> ICoefficient:
         raise ValueError("the small I-function needs a Calabi-Yau chain")
     if k < 1:
         raise ValueError("the level k must be a positive integer")
-    factored, b_sets = _i_factored(chain, k)
+    factored, nums = _i_factored(chain, k)
+    d = chain.degree
     return ICoefficient(
         k=k,
         sector=sector(chain, k),
         value=_to_ratfunc(factored),
-        b_sets=b_sets,
+        b_sets=tuple(tuple(Fraction(n, d) for n in ns) for ns in nums),
     )
 
 
@@ -194,16 +217,25 @@ def picard_fuchs_check(chain: ChainData, k_max: int) -> PFReport:
             = prod_{c=1}^{d} (k + d - c) z * I_{k+d}.
 
     Both sides are a scalar times a product of powers of linear forms, each
-    form normalized to a primitive integer pair.  Q[z, q] is a unique
-    factorization domain, so the identity holds exactly when the scalars
-    agree and the two multisets of forms (exponent maps) agree; no
-    polynomial is expanded.  Only a failing item expands both sides into
-    rational functions, for its residual lhs - rhs.
+    form normalized to a primitive integer pair.  Over the degree d the
+    operator's forms are ((w_j k + c d) z + d k_j q)/d, integer pairs like
+    those of I_k, so each side takes one gcd per form and makes one
+    ``Fraction`` scalar.  Q[z, q] is a unique factorization domain, so the
+    identity holds exactly when the scalars agree and the two multisets of
+    forms (exponent maps) agree; no polynomial is expanded.  Only a failing
+    item expands both sides into rational functions, for its residual
+    lhs - rhs.
     """
     if not is_calabi_yau(chain):
         raise ValueError("the Picard-Fuchs check needs a Calabi-Yau chain")
     d = chain.degree
-    kw = weight_sequence(chain)
+    # (w_j, c d, d k_j) per factor; sum(w_j) = d factors on a Calabi-Yau chain
+    ops = [
+        (wj, c * d, d * kj)
+        for wj, kj in zip(chain.weights, weight_sequence(chain))
+        for c in range(wj)
+    ]
+    d_to_d = d**d
     coeffs: dict[int, Factored] = {}
 
     def ic(k: int) -> Factored:
@@ -218,13 +250,20 @@ def picard_fuchs_check(chain: ChainData, k_max: int) -> PFReport:
             items.append(PFItem(m=m, ok=True, residual=None))
             continue
         k = m - d
-        lhs = _times_forms(ic(k), (
-            (cj * k + c, w)
-            for cj, wj, w in zip(chain.charges, chain.weights, kw)
-            for c in range(wj)
-        ))
+        scalar, exps = ic(k)
+        exps = exps.copy()
+        content = 1
+        for wj, cd, y in ops:
+            g, key = _primitive(wj * k + cd, y)
+            content *= g
+            exps[key] += 1
+        lhs = (Fraction(content * scalar.numerator, scalar.denominator * d_to_d), exps)
         scalar, exps = ic(k + d)
-        rhs = _times_forms((scalar * perm(k + d - 1, d), exps), [(1, 0)] * d)
+        exps = exps.copy()
+        exps[1, 0] += d
+        if not exps[1, 0]:
+            del exps[1, 0]
+        rhs = (scalar * perm(k + d - 1, d), exps)
         ok = lhs == rhs
         items.append(PFItem(
             m=m, ok=ok, residual=None if ok else _to_ratfunc(lhs) - _to_ratfunc(rhs)
@@ -241,17 +280,20 @@ def big_i_factor(level: int, omega, weight: int) -> RatFunc:
         1                                              for D = 0,
         prod_{1 <= m <= -D} 1 / ((omega - m) z + k_j q) for D <= -1,
 
-    with k_j the supplied equivariant weight.
+    with k_j the supplied equivariant weight.  A zero form (weight 0 and
+    omega + m = 0) makes the product 0 for D >= 1 and raises
+    ``ZeroDivisionError`` for D <= -1.
     """
     omega = Fraction(omega)
-    if level == 0:
-        return RatFunc.one()
-    if level >= 1:
-        num = BivarPoly.constant(1)
-        for m in range(level):
-            num = num * BivarPoly.linear(omega + m, weight)
-        return RatFunc.from_poly(num)
-    den = BivarPoly.constant(1)
-    for m in range(1, -level + 1):
-        den = den * BivarPoly.linear(omega - m, weight)
-    return RatFunc(BivarPoly.constant(1), den)
+    sign = 1 if level >= 0 else -1
+    scalar, exps = Fraction(1), Counter()
+    # omega + m over m = 0 .. D-1, or over m = D .. -1 for D <= -1
+    for m in range(min(level, 0), max(level, 0)):
+        if omega + m == 0 and weight == 0:
+            if sign > 0:
+                return RatFunc.zero()
+            raise ZeroDivisionError("zero denominator")
+        s, key = _linear_form(omega + m, weight)
+        scalar *= s
+        exps[key] += sign
+    return _to_ratfunc((scalar if sign > 0 else 1 / scalar, exps))

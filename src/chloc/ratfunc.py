@@ -328,6 +328,14 @@ class RatFunc:
         self.den = den
 
     @classmethod
+    def _raw(cls, num: BivarPoly, den: BivarPoly) -> "RatFunc":
+        """num / den as given, which the caller guarantees is canonical."""
+        self = object.__new__(cls)
+        self.num = num
+        self.den = den
+        return self
+
+    @classmethod
     def from_scalar(cls, c: Scalar) -> "RatFunc":
         return cls(BivarPoly.constant(c), BivarPoly.constant(1))
 

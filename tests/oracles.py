@@ -7,7 +7,9 @@ truncated-polynomial oracles work the same way on plain
 ``{exponent tuple: Fraction}`` maps, apart from ``chloc.rings``.  The
 I-function oracles multiply linear forms out as ``BivarPoly``/``RatFunc``
 products and decide equality by cross-multiplication, never using the
-factored form of ``chloc.ifunction``.
+factored form of ``chloc.ifunction``.  The symmetry-group oracle
+back-substitutes ``Fraction`` exponents from the last variable and sorts,
+where ``chloc.chains`` walks integer numerators forward from the first.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from chloc import BivarPoly, RatFunc, ifunction, weight_sequence
+from chloc import BivarPoly, RatFunc, SymmetryElement, ifunction, weight_sequence
 
 
 def poly_trunc(a: dict, degrees, truncation: int) -> dict:
@@ -219,3 +221,18 @@ def pf_cross_multiply(chain, k_max: int, values=None) -> list[tuple[int, bool, R
         ok = lhs == rhs
         out.append((m, ok, None if ok else lhs - rhs))
     return out
+
+
+def symmetry_group_back_substitution(exponents) -> list[SymmetryElement]:
+    """The diagonal symmetries of the chain with these exponents, sorted:
+    theta_N runs over m/a_N, then each theta_j solves
+    a_j * theta_j = -theta_{j+1} mod 1 in a_j ways, all in ``Fraction``."""
+    partial: list[tuple[Fraction, ...]] = [()]
+    for a in reversed(exponents):
+        nxt = []
+        for tail in partial:
+            base = (-tail[0] if tail else Fraction(0)) % 1
+            for m in range(a):
+                nxt.append(((base + m) / a,) + tail)
+        partial = nxt
+    return sorted(SymmetryElement(t) for t in partial)

@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 
+from oracles import symmetry_group_back_substitution
 from chloc import (
     SymmetryElement,
     chain_solve,
@@ -60,6 +61,22 @@ def test_solve_rejects_bad_input():
         chain_solve([])
 
 
+def test_solve_rejects_exponents_that_are_not_int():
+    # int() would read these as the (2, 3) and (2, 1, 2) chains
+    for bad in ([2.7, 3.2], ["2", True, 2], [2, 3.0], [True, 2]):
+        with pytest.raises(ValueError):
+            chain_solve(bad)
+
+
+def test_symmetry_element_rejects_floats():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError):
+        SymmetryElement((0.1,))
+    with pytest.raises(TypeError):
+        SymmetryElement((F(1, 2), 0.5))
+    assert SymmetryElement(("1/10", 3)).theta == (F(1, 10), F(0))
+
+
 def test_linear_system_and_primitivity_exhaustive():
     from math import gcd
 
@@ -108,6 +125,24 @@ def test_symmetry_group_order_is_exponent_product():
             if a[-1] < 2:
                 continue
             assert len(symmetry_group(chain_solve(a))) == prod(a), a
+
+
+def test_symmetry_group_matches_back_substitution_oracle():
+    # every chain with n <= 3 and exponents <= 6, and the Calabi-Yau chains
+    # with n = 4: the same elements in the same order, Fraction entries
+    count = 0
+    for n in range(1, 5):
+        for a in product(range(1, 7), repeat=n):
+            if a[-1] == 1:
+                continue
+            c = chain_solve(a)
+            if n == 4 and not is_calabi_yau(c):
+                continue
+            g = symmetry_group(c)
+            assert g == symmetry_group_back_substitution(a), a
+            assert all(type(t) is F for s in g for t in s.theta), a
+            count += 1
+    assert count == 5 + 30 + 180 + 14
 
 
 def test_group_axioms():

@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
-from math import floor
+from math import floor, perm
 
 import pytest
 
@@ -212,6 +212,16 @@ def test_big_i_factor_cases():
     )
 
 
+def test_big_i_factor_zero_form():
+    # weight 0 and omega + m = 0: a zero factor above, a zero denominator below
+    assert big_i_factor(1, F(0), 0).is_zero
+    assert big_i_factor(3, F(-2), 0).is_zero
+    with pytest.raises(ZeroDivisionError):
+        big_i_factor(-1, F(1), 0)
+    with pytest.raises(ZeroDivisionError):
+        big_i_factor(-3, F(2), 0)
+
+
 def _cy_chains(max_n=4, max_a=6):
     for n in range(1, max_n + 1):
         for a in product(range(1, max_a + 1), repeat=n):
@@ -239,19 +249,45 @@ def test_factored_pf_check_agrees_with_cross_multiplication():
             assert str(i_coefficient(chain, k).value) == str(values[k]), (a, k)
 
 
+def test_i_coefficient_is_in_canonical_form():
+    # the expansion skips RatFunc's gcd; the full constructor changes nothing
+    for a in _cy_chains():
+        chain = chain_solve(a)
+        for k in range(1, chain.degree + 17):
+            v = i_coefficient(chain, k).value
+            w = RatFunc(v.num, v.den)
+            assert dict(v.num.items()) == dict(w.num.items()), (a, k)
+            assert dict(v.den.items()) == dict(w.den.items()), (a, k)
+            assert all(type(c) is F for _, c in [*v.num.items(), *v.den.items()]), (a, k)
+
+
+def test_perturbed_rhs_scalar_fails_exactly_at_d_plus_3(monkeypatch):
+    # (k + d - 1)!/(k - 1)! + 1 on the right side at k = 3 only
+    monkeypatch.setattr(ifunction, "perm", lambda n, r: perm(n, r) + (1 if n - r == 2 else 0))
+    chains = list(_cy_chains())
+    assert len(chains) == 21
+    for a in chains:
+        chain = chain_solve(a)
+        report = picard_fuchs_check(chain, chain.degree + 16)
+        assert [item.m for item in report.failures()] == [chain.degree + 3], a
+        assert not report.failures()[0].residual.is_zero, a
+
+
 def test_perturbed_b_range_fails_both_checks(monkeypatch):
+    # b + 1 for the last b of B_3(7), as numerator + degree: both the factored
+    # check and the oracle (through b_range) read the perturbed numerators
     chain = chain_solve([2, 2, 3])
-    original = ifunction.b_range
+    original = ifunction._b_numerators
     j0, k0 = 3, 7
     assert original(chain, j0, k0)
 
     def perturbed(chain_, j, k):
-        bs = original(chain_, j, k)
+        ns = list(original(chain_, j, k))
         if (j, k) == (j0, k0):
-            bs = bs[:-1] + (bs[-1] + 1,)
-        return bs
+            ns[-1] += chain_.degree
+        return ns
 
-    monkeypatch.setattr(ifunction, "b_range", perturbed)
+    monkeypatch.setattr(ifunction, "_b_numerators", perturbed)
     k_max = chain.degree + 16
     report = picard_fuchs_check(chain, k_max)
     oracle = pf_cross_multiply(chain, k_max)
