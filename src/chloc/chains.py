@@ -189,8 +189,10 @@ def grading_element(chain: ChainData) -> SymmetryElement:
 
 
 def sector(chain: ChainData, k: int) -> SymmetryElement:
-    """The k-th power of the grading element."""
-    return grading_element(chain) ** k
+    """The k-th power of the grading element: its exponents k w_j / d mod 1
+    are (k w_j mod d) / d, already reduced, so nothing is checked again."""
+    d = chain.degree
+    return SymmetryElement._reduced(tuple(Fraction(w * k % d, d) for w in chain.weights))
 
 
 def selection_rule(chain: ChainData, g: int, n: int, insertions) -> bool:

@@ -51,6 +51,7 @@ from .rings import ChowElement, Ring
 from .series import (
     QSeries,
     ScalarSeries,
+    _convolve,
     compute_at_precision,
     scalar_invert,
     scalar_mul,
@@ -242,15 +243,18 @@ def _argument(
     ring: Ring, terms: Iterable[tuple["KClass", Table]], q_max: int | None = None
 ) -> QSeries:
     """sum over (x, table) of sum_l phi_l(q) * Ch_l(x), with Ch_0 = rank,
-    dropping exponents above q_max."""
-    coeffs: dict[int, ChowElement] = {}
+    dropping exponents above q_max: the pairs (ring.const(phi_l[e]), Ch_l(x))
+    grouped by e, each coefficient one :meth:`ChowElement.sum_of_products`
+    (no scalar product or normalizing Chow sum per term)."""
+    pairs = []
     for x, table in terms:
+        if x.ring != ring:
+            raise ValueError("ring mismatch")
         for l, phi in table.items():
-            c = x.ring.const(x.rank) if l == 0 else x.chern_character(l)
-            for e, v in phi.items():
-                if q_max is None or e <= q_max:
-                    coeffs[e] = c * v + coeffs.get(e, ring.zero())
-    return QSeries(ring, coeffs, q_max)
+            c = ring.const(x.rank) if l == 0 else x.chern_character(l)
+            if c:
+                pairs.append(({e: ring.const(v) for e, v in phi.items()}, {0: c}))
+    return QSeries._raw(ring, _convolve(ring, pairs, q_max), q_max)
 
 
 def _log_linear(arg: QSeries, order: int | None = None, rank: QSeries | None = None) -> QSeries:

@@ -284,6 +284,7 @@ def _cmd_classes(args) -> int:
         items: list[tuple[str, KClass, int]] = []
         if "pairs" in job:
             pairs = _weighted_list(job["pairs"], classes, ring, "job.pairs")
+            _require(bool(pairs), "job.pairs", "must name at least one pair")
             for (x, w), pair in zip(pairs, job["pairs"]):
                 items.append((f"{pair['class']}@{w}", x, w))
         else:
@@ -345,6 +346,7 @@ def _cmd_classes(args) -> int:
     elif args.mode == "tautrel":
         if "factors" in job:
             factors = _weighted_list(job["factors"], classes, ring, "job.factors")
+            _require(bool(factors), "job.factors", "must name at least one factor")
         else:
             factors = _sampled(job, ring)
         report = crosscheck_factors(ring, factors)

@@ -264,18 +264,12 @@ def crosscheck_factors(
 
 def _spans_contained(tag, neg_src, neg_dst, max_degree, failures) -> bool:
     ok = True
+    dst = [c.graded_parts() for _, c in neg_dst]
+    src = [(e, c.graded_parts()) for e, c in neg_src]
     for d in range(0, max_degree + 1):
-        basis = []
-        for _, c in neg_dst:
-            piece = c.homogeneous_part(d)
-            if not piece.is_zero:
-                basis.append(dict(piece.items()))
-        rows = _row_reduce(basis)
-        for e, c in neg_src:
-            piece = c.homogeneous_part(d)
-            if piece.is_zero:
-                continue
-            if not _in_span(dict(piece.items()), rows):
+        rows = _row_reduce([dict(parts[d].items()) for parts in dst if d in parts])
+        for e, parts in src:
+            if d in parts and not _in_span(dict(parts[d].items()), rows):
                 failures.append((tag, e, d))
                 ok = False
     return ok

@@ -169,7 +169,8 @@ class Ring:
         return ChowElement._raw(self, {0: 1}, 1)
 
     def const(self, c: Scalar) -> "ChowElement":
-        c = Fraction(c)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
         if c == 0:
             return self.zero()
         return ChowElement._raw(self, {0: c.numerator}, c.denominator)
@@ -329,11 +330,13 @@ class ChowElement:
     def constant_term(self) -> Fraction:
         return Fraction(self._num.get(0, 0), self._den)
 
-    def homogeneous_part(self, degree: int) -> "ChowElement":
+    def graded_parts(self) -> dict[int, "ChowElement"]:
+        """The nonzero homogeneous parts, keyed by degree, in one pass."""
         deg = self.ring._mono.degree
-        return ChowElement._reduced(
-            self.ring, {i: v for i, v in self._num.items() if deg[i] == degree}, self._den
-        )
+        split: dict[int, dict[int, int]] = {}
+        for i, v in self._num.items():
+            split.setdefault(deg[i], {})[i] = v
+        return {d: ChowElement._reduced(self.ring, num, self._den) for d, num in split.items()}
 
     def is_homogeneous(self, degree: int) -> bool:
         deg = self.ring._mono.degree

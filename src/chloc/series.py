@@ -26,7 +26,19 @@ Truncation bookkeeping:
 A product groups the coefficient pairs by output exponent and builds each
 output coefficient with one multiply-accumulate on the integer kernel of
 :mod:`chloc.rings` (one common denominator, integer numerators, one gcd),
-so the nilpotent powers summed by exp cost no Chow sum per pair.
+so a pair costs no Chow sum of its own; a sum of products of several
+series pairs is grouped the same way, in one pass.
+
+exp and invert work degree by degree in the Chow grading.  With A_j the
+Chow-degree-j part of the argument (A_0 its scalar part), E = exp(A) has
+the parts E_0 = exp(A_0) and d E_d = sum_{j=1}^{d} j A_j E_{d-j}: the
+Euler operator of the grading is a derivation, so this is the derivative
+recurrence for the exponential of a power series (Brent and Kung, 1978)
+taken in the Chow degree instead of in q.  The inverse of 1 + u, with
+S = (1 + u_0)^{-1} and V_j = S u_j, has the parts F_0 = S and
+F_d = -sum_j V_j F_{d-j}.  Each part is one sum of products over all j,
+so the whole exp or inverse costs about one truncated product, where a
+sum of nilpotent powers costs D.
 
 The scalar helpers at the bottom operate on plain ``{exponent: Fraction}``
 maps with linear-recurrence kernels; the class methods route pure-scalar
@@ -38,8 +50,7 @@ All values are immutable and operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .rings import ChowElement, Ring, Scalar
 
@@ -190,15 +201,16 @@ class QSeries:
             return None
         return self.q_max + 1
 
-    def _pad(self, nil: dict[int, ChowElement], lowest: int) -> int:
-        """The working-order padding of exp and invert: D + 1 when a
-        nilpotent term sits at an exponent <= lowest, else 0.  Raises
-        ValueError if a coefficient at q^-e has Chow degree below e."""
-        degree = self.ring.monomial_degree
-        for e, c in nil.items():
-            if e < 0 and min(degree(m) for m, _ in c.items()) < -e:
+    def _pad(self, nil: dict[int, dict[int, ChowElement]], lowest: int) -> int:
+        """The working-order padding of exp and invert for the parts of
+        :meth:`_split`: D + 1 when a nilpotent term sits at an exponent <=
+        lowest, else 0.  Raises ValueError if a degree-j part reaches below
+        q^-j (a coefficient at q^-e of Chow degree below e)."""
+        lows = {j: min(part) for j, part in nil.items()}
+        for j, e in lows.items():
+            if e < -j:
                 raise ValueError(f"the coefficient of q^{e} has Chow degree below {-e}")
-        return self.ring.truncation + 1 if nil and min(nil) <= lowest else 0
+        return self.ring.truncation + 1 if lows and min(lows.values()) <= lowest else 0
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -288,7 +300,7 @@ class QSeries:
                 bounds.append(x.q_max + o)
         q_max = min(bounds) if bounds else None
         return QSeries._raw(
-            self.ring, _convolve(self.ring, self._coeffs, other._coeffs, q_max), q_max
+            self.ring, _convolve(self.ring, [(self._coeffs, other._coeffs)], q_max), q_max
         )
 
     __rmul__ = __mul__
@@ -323,19 +335,18 @@ class QSeries:
         target = ring.q_max if q_max is None else int(q_max)
         if self.q_max is not None:
             target = min(target, self.q_max - 2 * e_star - pad)
-        if not exact_out and target < -e_star:
-            return QSeries._raw(ring, {}, target)
         cutoff = None if exact_out else target + e_star + pad
+        if cutoff is not None and cutoff < 0:
+            # the lowest term of the inverse sits at q^(-e_star - pad) or above
+            return QSeries._raw(ring, {}, target)
 
-        # (1 + u)^{-1} = (1 + v)^{-1} (1 + u_scal)^{-1},
-        # v = (1 + u_scal)^{-1} u_nil nilpotent.
-        inv_scal_q = QSeries.one(ring)
-        if u_scal:
-            inv_scal = scalar_invert({0: Fraction(1), **u_scal}, cutoff)
-            inv_scal_q = QSeries.from_scalars(ring, inv_scal)
-        v = _cut(inv_scal_q * QSeries._raw(ring, u_nil, None), cutoff)
-        acc = v._nilpotent_sum(cutoff, lambda m: (-1) ** m)
-        out = (acc * inv_scal_q).shifted(-e_star) * (1 / c)
+        # (1 + u)^{-1} = S (1 + v)^{-1} with S = (1 + u_scal)^{-1} and
+        # v = S u_nil nilpotent: F_0 = S and F_d = -sum_j v_j F_{d-j}.
+        inv = scalar_invert({0: Fraction(1), **u_scal}, cutoff) if u_scal else {0: 1}
+        inv_scal = QSeries.from_scalars(ring, inv)._coeffs
+        v = {j: _convolve(ring, [(inv_scal, part)], cutoff) for j, part in u_nil.items()}
+        out = _graded_series(ring, inv_scal, v, cutoff, lambda d: -1)
+        out = out.shifted(-e_star) * (1 / c)
         return out if exact_out else out.truncated(target)
 
     # -- exponential ---------------------------------------------------------------
@@ -360,38 +371,24 @@ class QSeries:
             if self.q_max is not None:
                 target = min(target, self.q_max - pad)
             cutoff = target + pad
-        out = QSeries._raw(ring, nil, None)._nilpotent_sum(
-            cutoff, lambda m: Fraction(1, factorial(m))
-        )
-        if cutoff is None:
-            return out
-        if scal:
-            out = out * QSeries.from_scalars(ring, scalar_exp(scal, cutoff))
-        return out.truncated(target)
+        # E_0 = exp(scalar part) and d E_d = sum_j j A_j E_{d-j}
+        first = QSeries.from_scalars(ring, scalar_exp(scal, cutoff) if scal else {0: 1})._coeffs
+        weighted = {j: {e: c * j for e, c in part.items()} for j, part in nil.items()}
+        out = _graded_series(ring, first, weighted, cutoff, lambda d: Fraction(1, d))
+        return out if cutoff is None else out.truncated(target)
 
-    def _split(self) -> tuple[ScalarSeries, dict[int, ChowElement]]:
-        """The scalar parts and the nilpotent parts of the coefficients."""
+    def _split(self) -> tuple[ScalarSeries, dict[int, dict[int, ChowElement]]]:
+        """The scalar parts of the coefficients, and their nilpotent parts
+        by Chow degree: ``{j: {exponent: degree-j part}}`` for j >= 1."""
         scal: ScalarSeries = {}
-        nil: dict[int, ChowElement] = {}
+        nil: dict[int, dict[int, ChowElement]] = {}
         for e, c in self._coeffs.items():
-            c0 = c.constant_term
-            if c0:
-                scal[e] = c0
-            rest = c - self.ring.const(c0)
-            if not rest.is_zero:
-                nil[e] = rest
+            for j, part in c.graded_parts().items():
+                if j:
+                    nil.setdefault(j, {})[e] = part
+                else:
+                    scal[e] = part.constant_term
         return scal, nil
-
-    def _nilpotent_sum(self, cutoff: int | None, coef) -> "QSeries":
-        """sum_m coef(m) * self^m for an exact series with nilpotent
-        coefficients (a finite sum), dropping exponents above cutoff."""
-        out = power = QSeries.one(self.ring)
-        for m in range(1, self.ring.truncation + 1):
-            power = _cut(power * self, cutoff)
-            if power.is_zero:
-                break
-            out = out + power * coef(m)
-        return out
 
     # -- comparison / display --------------------------------------------------------
 
@@ -434,34 +431,53 @@ class QSeries:
         return f"<QSeries {self}>"
 
 
-def _cut(s: QSeries, cutoff: int | None) -> QSeries:
-    """An exact series without its terms above cutoff (None keeps all)."""
-    if cutoff is None:
-        return s
-    return QSeries._raw(s.ring, {e: c for e, c in s._coeffs.items() if e <= cutoff}, None)
-
-
-def _convolve(
-    ring: Ring, a: dict[int, ChowElement], b: dict[int, ChowElement], q_max: int | None
-) -> dict[int, ChowElement]:
-    """The coefficients of the product of two series, dropping exponents
-    above q_max.  The coefficient pairs are grouped by output exponent and
-    each output coefficient is one multiply-accumulate over its group
+def _convolve(ring: Ring, pairs: Sequence[tuple[dict, dict]], q_max: int | None) -> dict:
+    """The coefficients of the sum of the products a*b over the series
+    pairs (a, b), dropping exponents above q_max.  The coefficient pairs
+    are grouped by output exponent and each output coefficient is one
+    multiply-accumulate over its group
     (:meth:`ChowElement.sum_of_products`), so a pair costs no Chow sum and
     no normalization of its own."""
     groups: dict[int, list[tuple[ChowElement, ChowElement]]] = {}
-    b_items = sorted(b.items())
-    for e1, c1 in sorted(a.items()):
-        for e2, c2 in b_items:
-            e = e1 + e2
-            if q_max is not None and e > q_max:
-                break  # b_items ascending
-            groups.setdefault(e, []).append((c1, c2))
+    for a, b in pairs:
+        b_items = sorted(b.items())
+        for e1, c1 in sorted(a.items()):
+            for e2, c2 in b_items:
+                e = e1 + e2
+                if q_max is not None and e > q_max:
+                    break  # b_items ascending
+                groups.setdefault(e, []).append((c1, c2))
     out: dict[int, ChowElement] = {}
-    for e, pairs in groups.items():
-        c = ChowElement.sum_of_products(ring, pairs)
+    for e, group in groups.items():
+        c = ChowElement.sum_of_products(ring, group)
         if c:
             out[e] = c
+    return out
+
+
+def _graded_series(
+    ring: Ring,
+    first: dict[int, ChowElement],
+    parts: dict[int, dict[int, ChowElement]],
+    cutoff: int | None,
+    scale: Callable[[int], Scalar],
+) -> QSeries:
+    """The exact series sum_{d=0}^{D} F_d of Chow-degree-d parts F_0 =
+    ``first`` (scalar) and F_d = scale(d) * sum_{j=1}^{d} parts[j] * F_{d-j},
+    each F_d one :func:`_convolve`, exponents above cutoff dropped (None
+    keeps all).  ``parts[j]`` must be homogeneous of degree j.
+
+    Dropping is safe below cutoff - D: parts[j] lives at exponents >= -j
+    (the grading bound :meth:`QSeries._pad` checks) and F_0 at >= 0, so along
+    any chain of products a term moves down by at most d <= D.  Hence the
+    fixed D + 1 padding of exp and invert."""
+    graded = [first]
+    out = QSeries._raw(ring, first, None)
+    for d in range(1, ring.truncation + 1):
+        pairs = [(parts[j], graded[d - j]) for j in range(1, d + 1) if j in parts]
+        s = scale(d)
+        graded.append({e: c * s for e, c in _convolve(ring, pairs, cutoff).items()})
+        out = out + QSeries._raw(ring, graded[d], None)
     return out
 
 

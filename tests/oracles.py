@@ -5,9 +5,12 @@ and never touch the library's ring or series machinery, so agreement
 between these expansions and the library is a genuine cross-check.  The
 truncated-polynomial oracles work the same way on plain
 ``{exponent tuple: Fraction}`` maps, apart from ``chloc.rings``.  The
-I-function oracles multiply linear forms out as ``BivarPoly``/``RatFunc``
-products and decide equality by cross-multiplication, never using the
-factored form of ``chloc.ifunction``.  The symmetry-group oracle
+power-sum oracle for exp and invert multiplies whole series with
+``QSeries`` products, which ``test_series`` checks against the schoolbook
+double loop.  The I-function oracles multiply linear forms out as
+``BivarPoly``/``RatFunc`` products and decide equality by
+cross-multiplication, never using the factored form of
+``chloc.ifunction``.  The symmetry-group oracle
 back-substitutes ``Fraction`` exponents from the last variable and sorts,
 where ``chloc.chains`` walks integer numerators forward from the first.
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from chloc import BivarPoly, RatFunc, SymmetryElement, ifunction, weight_sequence
+from chloc import BivarPoly, QSeries, RatFunc, SymmetryElement, ifunction, weight_sequence
 
 
 def poly_trunc(a: dict, degrees, truncation: int) -> dict:
@@ -71,6 +74,25 @@ def poly_inverse(a: dict, degrees, truncation: int) -> dict:
         power = poly_mul(power, n, degrees, truncation)
         out = poly_add(out, power)
     return poly_scale(1 / c, out)
+
+
+def nilpotent_power_sum(series: QSeries, cutoff: int | None, coef) -> QSeries:
+    """sum_{m>=0} coef(m) * series^m (coef(0) taken as 1) for an exact
+    series with nilpotent coefficients, a finite sum, each power cut at
+    q^cutoff (None keeps every term).  The sum of powers is a route to exp
+    and to the inverse of 1 + series that is independent of the Chow-degree
+    recurrence of ``chloc.series``."""
+    ring = series.ring
+    out = power = QSeries.one(ring)
+    for m in range(1, ring.truncation + 1):
+        power = power * series
+        if cutoff is not None:
+            kept = [e for e in power.exponents() if e <= cutoff]
+            power = QSeries(ring, {e: power.coefficient(e) for e in kept})
+        if power.is_zero:
+            break
+        out = out + power * coef(m)
+    return out
 
 
 def ser_trim(a: list[Fraction], order: int) -> list[Fraction]:

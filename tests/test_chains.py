@@ -179,6 +179,27 @@ def test_sectors():
     assert sector(c, -1) == sector(c, c.degree - 1)
 
 
+def test_sector_closed_form_matches_grading_power():
+    # the closed form (k w_j mod d)/d against the checked grading element's
+    # k-th power, on the 21 Calabi-Yau chains of the pf benchmark (n <= 4,
+    # a_i <= 6) and the chains the other tests here use, for k in 0..3d
+    chains = [
+        a
+        for n in range(1, 5)
+        for a in product(range(1, 7), repeat=n)
+        if a[-1] != 1 and is_calabi_yau(chain_solve(a))
+    ]
+    assert len(chains) == 21
+    chains += [(2, 2, 3), (3, 2, 2), (3, 2), (4, 3, 2), (5,), (6,), (7,), (1, 4)]
+    for a in chains:
+        c = chain_solve(a)
+        g = grading_element(c)
+        for k in range(3 * c.degree + 1):
+            s = sector(c, k)
+            assert s == g**k
+            assert all(type(t) is F and 0 <= t < 1 for t in s.theta)
+
+
 def test_narrow_broad():
     assert SymmetryElement((F(1, 3), F(1, 3), F(1, 3))).is_narrow
     assert SymmetryElement((F(0), F(0), F(0))).is_broad

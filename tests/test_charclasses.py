@@ -22,6 +22,7 @@ from chloc import (
     todd_twist_ratio,
 )
 from chloc.charclasses import (
+    _argument,
     _exp_hirzebruch_table,
     _hirzebruch_table,
     _reciprocal_expm1,
@@ -32,6 +33,8 @@ from chloc.sampling import sample_kclass, sample_ring, sample_weight
 
 from oracles import (
     bernoulli_oracle,
+    poly_add,
+    poly_scale,
     line_hirzebruch,
     line_todd,
     reciprocal_expm1,
@@ -543,3 +546,37 @@ def test_results_do_not_depend_on_the_table_caches():
     warm = _seeded_products()
     assert all(f.cache_info().hits > h for f, h in zip(builders, hits))
     assert warm == cold
+
+
+def test_argument_matches_scaled_sums():
+    # sum over (x, table) of phi_l[e] * Ch_l(x), Ch_0 = rank, each term
+    # scaled and added apart on plain {exponent tuple: Fraction} maps
+    rng = Random(1214)
+    rings = [sample_ring(rng) for _ in range(12)]
+    rings += [Ring([("a", 1), ("b", 2), ("c", 3)], 4), Ring([], 0), Ring([("a", 1)], 0)]
+    for ring in rings * 2:
+        D = ring.truncation
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            table = {
+                l: {e: F(rng.randint(-4, 4), rng.randint(1, 5))
+                    for e in rng.sample(range(-D - 1, 6), 3)}
+                for l in rng.sample(range(D + 1), rng.randint(0, D + 1))
+            }
+            terms.append((sample_kclass(rng, ring), table))
+        q_max = rng.choice([None, rng.randint(-2, 4)])
+        got = _argument(ring, terms, q_max)
+        expected: dict = {}
+        for x, table in terms:
+            for l, phi in table.items():
+                c = dict(x.chern_character(l).items()) if l else {(0,) * ring.ngens: F(x.rank)}
+                for e, v in phi.items():
+                    if q_max is None or e <= q_max:
+                        expected[e] = poly_add(expected.get(e, {}), poly_scale(v, c))
+        assert got.q_max == q_max
+        assert {e: dict(got.coefficient(e).items()) for e in got.exponents()} == {
+            e: c for e, c in expected.items() if c
+        }
+    other = Ring([("a", 1)], 3)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        _argument(rings[0], [(KClass(other, 1), {0: {0: F(1)}})])

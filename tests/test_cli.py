@@ -208,6 +208,28 @@ def test_non_list_pairs_exit_1(tmp_path):
     _assert_usage_error(run_cli("classes", "identity", "--job", str(f)), b"job.pairs")
 
 
+def test_empty_pairs_exit_1(tmp_path):
+    # an identity job with no pair checks nothing: it used to print
+    # "identity: 0/0 equal" and exit 0
+    f = tmp_path / "job.json"
+    f.write_text(
+        '{"chow": {"generators": [{"name": "x", "degree": 1}], "truncation": 1},'
+        ' "classes": [], "job": {"pairs": []}}'
+    )
+    _assert_usage_error(run_cli("classes", "identity", "--job", str(f)), b"job.pairs")
+
+
+def test_empty_factors_exit_1(tmp_path):
+    # a tautrel job with no factor checks nothing: it used to print
+    # "tautrel: pass" and exit 0
+    f = tmp_path / "job.json"
+    f.write_text(
+        '{"chow": {"generators": [{"name": "x", "degree": 1}], "truncation": 1},'
+        ' "classes": [], "job": {"factors": []}}'
+    )
+    _assert_usage_error(run_cli("classes", "tautrel", "--job", str(f)), b"job.factors")
+
+
 @pytest.mark.parametrize("error", [ArithmeticError("not reliable"), NotConvergentError([])])
 def test_computation_errors_exit_1(monkeypatch, capsys, error):
     def fail(*args, **kwargs):

@@ -111,10 +111,9 @@ def test_homogeneous_parts():
     r = Ring([("a", 1), ("b", 2)], 3)
     a, b = r.gens()
     x = r.const(5) + 2 * a + b + a * b
-    assert x.homogeneous_part(0) == r.const(5)
-    assert x.homogeneous_part(1) == 2 * a
-    assert x.homogeneous_part(2) == b
-    assert x.homogeneous_part(3) == a * b
+    assert x.graded_parts() == {0: r.const(5), 1: 2 * a, 2: b, 3: a * b}
+    assert (x - x.constant_term).graded_parts().keys() == {1, 2, 3}
+    assert r.zero().graded_parts() == {}
     assert x.constant_term == 5
     assert x.max_degree() == 3
     assert x.is_homogeneous(1) is False

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial
 from random import Random
 
 import pytest
@@ -7,7 +8,17 @@ from chloc import NotConvergentError, QSeries, Ring, q_exponential
 from chloc.sampling import sample_chow, sample_ring
 from chloc.series import compute_at_precision
 
-from oracles import poly_add, poly_mul, reciprocal_expm1, ser_exp_x
+from oracles import (
+    nilpotent_power_sum,
+    poly_add,
+    poly_mul,
+    reciprocal_expm1,
+    ser_add,
+    ser_exp_x,
+    ser_inv,
+    ser_pow,
+    ser_scale,
+)
 
 
 def _ring1(truncation=1):
@@ -66,6 +77,17 @@ def test_exp_and_invert_reject_pole_below_its_order():
         QSeries(r, {0: r.one(), -2: a}, q_max=4).invert()
     # exact results need no padding
     assert QSeries(r, {-2: a}).exp() == QSeries(r, {0: r.one(), -2: a, -4: a * a / 2, -6: a**3 / 6})
+
+
+def test_invert_at_low_order_keeps_pole_terms():
+    # q^2 + a q = q^2 (1 + a/q); its inverse q^-2 - a q^-3 + a^2 q^-4 has
+    # terms below q^-2, so an order below -2 is no reason to return zero
+    r = _ring1(truncation=2)
+    a = r.generator("a")
+    s = QSeries(r, {2: r.one(), 1: a}, q_max=6)
+    assert s.invert(-3) == QSeries(r, {-4: a * a, -3: -a}, q_max=-3)
+    assert s.invert(-3).q_max == -3
+    assert s.invert(-5) == QSeries(r, {}, q_max=-5)
 
 
 def test_compute_at_precision_calls_once():
@@ -217,3 +239,106 @@ def test_product_matches_plain_double_loop():
                 expected[e1 + e2] = poly_add(expected.get(e1 + e2, {}), term)
         got = {e: dict(prod.coefficient(e).items()) for e in prod.exponents()}
         assert got == {e: c for e, c in expected.items() if c}
+
+
+# -- exp and invert against the power-sum oracle ----------------------------------------
+
+_ORACLE_ORDER = 24  # scalar oracle series are exact well past every order compared
+
+
+def _oracle_rings(rng):
+    """Seeded rings, generator degrees (1, 2, 3), no generators, truncation 0."""
+    rings = [sample_ring(rng, max_truncation=4) for _ in range(10)]
+    return rings + [Ring([("a", 1), ("b", 2), ("c", 3)], 4), Ring([], 0), Ring([("a", 1)], 0)]
+
+
+def _graded_nilpotent(rng, ring, exponents):
+    """Nilpotent coefficients with poles: at q^e a sum of homogeneous parts
+    of degrees >= max(1, -e), as the grading bound asks."""
+    D = ring.truncation
+    out = {}
+    for e in exponents:
+        if max(1, -e) > D:
+            continue
+        c = sum(
+            (sample_chow(rng, ring, rng.randint(max(1, -e), D)) for _ in range(rng.randint(1, 2))),
+            ring.zero(),
+        )
+        if c:
+            out[e] = c
+    return out
+
+
+def _scalars(rng) -> dict[int, F]:
+    """Nonzero rationals at up to two of the exponents 1, 2, 3."""
+    picked = {e: F(rng.randint(-3, 3), rng.randint(1, 3)) for e in rng.sample(range(1, 4), 2)}
+    return {e: c for e, c in list(picked.items())[: rng.randint(0, 2)] if c}
+
+
+def _scalar_exp_list(a: dict[int, F]) -> list[F]:
+    """exp of a scalar series at positive exponents, as the sum of powers."""
+    base = [a.get(n, F(0)) for n in range(_ORACLE_ORDER + 1)]
+    out = [F(0)] * (_ORACLE_ORDER + 1)
+    for m in range(_ORACLE_ORDER + 1):
+        term = ser_scale(F(1, factorial(m)), ser_pow(base, m, _ORACLE_ORDER), _ORACLE_ORDER)
+        out = ser_add(out, term, _ORACLE_ORDER)
+    return out
+
+
+def test_exp_matches_power_sum_oracle():
+    rng = Random(1212)
+    for ring in _oracle_rings(rng) * 3:
+        D = ring.truncation
+        nil = _graded_nilpotent(rng, ring, rng.sample(range(-D - 1, 4), rng.randint(0, D + 3)))
+        scal = _scalars(rng)
+        coeffs = {e: nil.get(e, ring.zero()) + scal.get(e, 0) for e in set(nil) | set(scal)}
+        q_max = rng.choice([None, None, rng.randint(0, 8)])
+        order = rng.choice([None, rng.randint(-2, 8)])
+        got = QSeries(ring, coeffs, q_max).exp(order)
+        expected = nilpotent_power_sum(QSeries(ring, nil), None, lambda m: F(1, factorial(m)))
+        if not scal and q_max is None:
+            assert got.is_exact and got == expected
+            continue
+        # the fixed D + 1 padding below a pole at q^-1 or lower
+        pad = D + 1 if nil and min(nil) <= -1 else 0
+        target = ring.q_max if order is None else order
+        if q_max is not None:
+            target = min(target, q_max - pad)
+        assert got.q_max == target
+        expected = expected * QSeries.from_scalars(ring, dict(enumerate(_scalar_exp_list(scal))))
+        assert {e: got.coefficient(e) for e in got.exponents()} == {
+            e: expected.coefficient(e) for e in expected.exponents() if e <= target
+        }
+
+
+def test_invert_matches_power_sum_oracle():
+    # s = c q^k (1 + u_scal + u_nil); 1/s = c^-1 q^-k S sum_m (-v)^m with
+    # S = 1/(1 + u_scal) from the scalar list oracle and v = S u_nil
+    rng = Random(1213)
+    for ring in _oracle_rings(rng) * 3:
+        D = ring.truncation
+        c, k = rng.choice([F(1), F(-2), F(3, 5)]), rng.randint(-2, 2)
+        u_nil = _graded_nilpotent(rng, ring, rng.sample(range(-D, 4), rng.randint(0, D + 3)))
+        u_scal = _scalars(rng)
+        one_plus_u = QSeries(ring, u_nil) + QSeries.from_scalars(ring, {0: 1, **u_scal})
+        q_max = rng.choice([None, None, rng.randint(0, 8)])
+        coeffs = {e: one_plus_u.coefficient(e) * c for e in one_plus_u.exponents()}
+        s = QSeries(ring, coeffs, q_max).shifted(k)
+        order = rng.choice([None, rng.randint(-2, 8)])
+        got = s.invert(order)
+        one_plus = [F(int(n == 0)) + u_scal.get(n, F(0)) for n in range(_ORACLE_ORDER + 1)]
+        inv_scal = ser_inv(one_plus, _ORACLE_ORDER)
+        S = QSeries.from_scalars(ring, dict(enumerate(inv_scal)))
+        v = S * QSeries(ring, u_nil)
+        expected = (S * nilpotent_power_sum(v, None, lambda m: (-1) ** m)).shifted(-k) * (1 / c)
+        if not u_scal and q_max is None:
+            assert got.is_exact and got == expected
+            continue
+        pad = D + 1 if u_nil and min(u_nil) <= 0 else 0
+        target = ring.q_max if order is None else order
+        if q_max is not None:
+            target = min(target, q_max - k - pad)
+        assert got.q_max == target
+        assert {e: got.coefficient(e) for e in got.exponents()} == {
+            e: expected.coefficient(e) for e in expected.exponents() if e <= got.q_max
+        }
