@@ -27,12 +27,16 @@ is checked in this form: the rank factors on the right multiply to
 (1-e^{-kq})^rank (kq/(1-e^{-kq}))^rank = (kq)^rank, so the right side is
 (kq)^rank times one exp of the Hirzebruch and twist arguments.
 
-At t = exp(-kq) the Hirzebruch table needs no series t: its u = t/(1-t) is
-1/(e^{kq}-1) = sum_n B_n(0) k^{n-1} q^{n-1}/n!, taken up to q^{order+D+1}
-and fed to the same Stirling sum as for any other t.  That table and the
-Todd tables depend only on the integers (k, D, order), so each is built
-once and memoised (bounded caches, filled on first use); the cached tables
-are read-only mappings.
+Each row phi_l is a :class:`~chloc.series.ScalarSeries` (integer numerators
+over one denominator), built on the integer scalar kernels.  At t = exp(-kq)
+the Hirzebruch table needs no series t: its u = t/(1-t) is 1/(e^{kq}-1) =
+sum_n B_n(0) k^{n-1} q^{n-1}/n!, taken up to q^{order+D+1} and fed to the
+same Stirling sum as for any other t.  The tables depend only on integers
+such as (k, D, order), so each is built once and memoised (bounded caches,
+filled on first use) as a read-only mapping of immutable rows.  Ch_l is
+homogeneous of degree l, so sum_x phi_l^x(q) Ch_l(x) is the Chow-degree-l
+part of a summed argument, one integer accumulate handed to the graded exp
+of :mod:`chloc.series` with no split into degrees.
 
 Bernoulli values follow the B_1(0) = -1/2 convention (Bernoulli polynomial
 at 0), which is the one compatible with Td(L) = c_1 / (1 - exp(-c_1)).
@@ -43,15 +47,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .rings import ChowElement, Ring
+from .rings import ChowElement, Ring, multiply_accumulate
 from .series import (
+    Part,
     QSeries,
     ScalarSeries,
-    _convolve,
+    _exp,
     compute_at_precision,
     scalar_invert,
     scalar_mul,
@@ -59,7 +64,7 @@ from .series import (
 )
 
 # l -> phi_l, the scalar Laurent series multiplying Ch_l (Ch_0 is the rank)
-Table = Mapping[int, Mapping[int, Fraction]]
+Table = Mapping[int, ScalarSeries]
 # Tables kept per memoised table builder.  Distinct (k, D, order[, first])
 # keys per process: 11-13 in each benchmark workload, 145 (acceptance
 # criterion 1) and 165 (criterion 7), and 326 t = exp(-kq) tables and 433
@@ -98,47 +103,39 @@ def _hirzebruch_table(t, D: int) -> tuple[Table, int | None, ScalarSeries]:
     if isinstance(t, QSeries):
         if t.q_max is None:
             raise ValueError("formal t must carry a finite truncation order")
-        order, data = t.q_max, t.scalar_data()
-        one_minus = {e: -c for e, c in data.items() if e}
-        if data.get(0) != 1 or min(one_minus, default=0) != 1:
-            raise ValueError("formal t must equal 1 + O(q) with an invertible q-term")
+        (data, nil), order = t._split(), t.q_max
+        one_minus = ScalarSeries.reduced({e: -v for e, v in data.num.items() if e}, data.den)
+        if nil or data.get(0) != 1 or min(one_minus.num, default=0) != 1:
+            raise ValueError("formal t must be a scalar 1 + O(q) with an invertible q-term")
         u = scalar_mul(data, scalar_invert(one_minus, order), order)
         valid = order - 1 - D
     else:
         t = Fraction(t)
         if t == 1:
             raise ValueError("the Hirzebruch class is undefined at t = 1")
-        one_minus, u, order, valid = {0: 1 - t}, {0: t / (1 - t)} if t else {}, None, None
+        one_minus, u = ScalarSeries.of({0: 1 - t}), ScalarSeries.of({0: t / (1 - t)})
+        order = valid = None
     return _stirling_rows(u, D, order), valid, one_minus
 
 
 def _stirling_rows(u: ScalarSeries, D: int, cutoff: int | None) -> dict[int, ScalarSeries]:
-    """phi_l = -s_l(t) for l = 1..D from the powers of u = t/(1-t), each
-    power cut at q^cutoff."""
-    powers = {1: u}
+    """phi_l = -s_l(t) for l = 1..D, each on one denominator, from the
+    powers of u = t/(1-t) cut at q^cutoff:
+    s_l(t) = B_l(0)/l + (-1)^l sum_{k=1}^{l} (k-1)! S(l, k) u^k."""
+    powers = [ScalarSeries({0: 1}), u]
     for k in range(2, D + 1):
-        powers[k] = scalar_mul(powers[k - 1], u, cutoff)
-    return {l: {e: -v for e, v in _assemble_s(l, powers).items()} for l in range(1, D + 1)}
-
-
-def _assemble_s(l: int, powers: dict[int, ScalarSeries]) -> ScalarSeries:
-    acc: ScalarSeries = {}
-    b = bernoulli(l) / l
-    if b:
-        acc[0] = b
-    sign = (-1) ** l
-    for k in range(1, l + 1):
-        g = stirling2(l, k)
-        if not g:
-            continue
-        f = sign * factorial(k - 1) * g
-        for e, c in powers[k].items():
-            s = acc.get(e, Fraction(0)) + f * c
-            if s:
-                acc[e] = s
-            elif e in acc:
-                del acc[e]
-    return acc
+        powers.append(scalar_mul(powers[k - 1], u, cutoff))
+    rows = {}
+    for l in range(1, D + 1):
+        b = bernoulli(l) / l
+        den = lcm(b.denominator, *(p.den for p in powers[1 : l + 1]))
+        num = {0: -b.numerator * (den // b.denominator)}
+        for k in range(1, l + 1):
+            f = (-1) ** (l + 1) * factorial(k - 1) * stirling2(l, k) * (den // powers[k].den)
+            for e, v in powers[k].num.items():
+                num[e] = num.get(e, 0) + f * v
+        rows[l] = ScalarSeries.reduced(num, den)
+    return rows
 
 
 def hirzebruch_coefficient(l: int, t):
@@ -153,7 +150,7 @@ def hirzebruch_coefficient(l: int, t):
     if l < 1:
         raise ValueError("index must be positive")
     table, valid, _ = _hirzebruch_table(t, l)
-    s = {e: -v for e, v in table[l].items()}
+    s = -table[l]
     if isinstance(t, QSeries):
         return QSeries.from_scalars(t.ring, s, valid)
     return s.get(0, Fraction(0))
@@ -162,14 +159,14 @@ def hirzebruch_coefficient(l: int, t):
 # -- argument tables ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=_TABLE_CACHE)
 def _euler_table(weight: int, D: int, order: int | None = None) -> Table:
-    """e_{kq}: phi_l = -(l-1)!/(-k q)^l, exact at every order."""
-    return {l: {-l: Fraction(-factorial(l - 1), (-weight) ** l)} for l in range(1, D + 1)}
-
-
-def _frozen(table: dict[int, ScalarSeries]) -> Table:
-    """A read-only view of a table, safe to share from a cache."""
-    return MappingProxyType({l: MappingProxyType(phi) for l, phi in table.items()})
+    """e_{kq}: phi_l = -(l-1)!/(-k q)^l, exact at every order.  Memoised,
+    read-only."""
+    return MappingProxyType({
+        l: ScalarSeries.of([(-l, Fraction(-factorial(l - 1), (-weight) ** l))])
+        for l in range(1, D + 1)
+    })
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -179,14 +176,13 @@ def _todd_table(weight: int, D: int, order: int, first: int = 0) -> Table:
     ratio Td(x (x) O(kq)) / Td(x) for first = 1.  Memoised, read-only."""
     table = {}
     for j in range(D + 1):
-        phi = {}
-        for n in range(max(first, 1 - j), order + 1):
-            v = -bernoulli(n + j) / (n + j) * Fraction(weight) ** n / factorial(n)
-            if v:
-                phi[n] = v
+        phi = ScalarSeries.of(
+            (n, -bernoulli(n + j) / (n + j) * Fraction(weight) ** n / factorial(n))
+            for n in range(max(first, 1 - j), order + 1)
+        )
         if phi:
             table[j] = phi
-    return _frozen(table)
+    return MappingProxyType(table)
 
 
 def _twist_table(weight: int, D: int, order: int) -> Table:
@@ -199,7 +195,7 @@ def _reciprocal_expm1(weight: int, cutoff: int) -> ScalarSeries:
     sum_{n>=0} B_n(0) k^{n-1} q^{n-1}/n!, exact up to q^cutoff."""
     k = Fraction(weight)
     terms = ((n - 1, bernoulli(n) * k ** (n - 1) / factorial(n)) for n in range(cutoff + 2))
-    return {e: c for e, c in terms if c}
+    return ScalarSeries.of(terms)
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -215,63 +211,80 @@ def _exp_hirzebruch_table(weight: int, D: int, order: int) -> Table:
     read-only."""
     cutoff = order + D + 1
     rows = _stirling_rows(_reciprocal_expm1(weight, cutoff), D, cutoff)
-    table = {l: {e: v for e, v in phi.items() if e <= order} for l, phi in rows.items()}
-    table[0] = {n: -v for n, v in _twist_table(weight, D, order).get(0, {}).items()}
-    return _frozen(table)
+    table = {l: ScalarSeries.reduced({e: v for e, v in phi.num.items() if e <= order}, phi.den)
+             for l, phi in rows.items()}
+    table[0] = -_twist_table(weight, D, order).get(0, ScalarSeries({}))
+    return MappingProxyType(table)
 
 
-def _euler_rank(ring: Ring, weighted: Iterable[tuple["KClass", int]]) -> QSeries:
+def _euler_rank(weighted: Iterable[tuple["KClass", int]]) -> ScalarSeries:
     """prod (k q)^rank, the rank factor of a product of Euler classes."""
     weighted = list(weighted)
     if any(int(k) == 0 for _, k in weighted):
         raise ValueError("equivariant weight must be nonzero")
-    return QSeries.q_power(
-        ring, sum(x.rank for x, _ in weighted), prod(Fraction(k) ** x.rank for x, k in weighted)
-    )
+    rho = sum(x.rank for x, _ in weighted)
+    return ScalarSeries.of({rho: prod(Fraction(k) ** x.rank for x, k in weighted)})
 
 
-def _by_weight(ring: Ring, weighted: Iterable[tuple["KClass", int]]) -> dict[int, "KClass"]:
+def _by_weight(weighted: Iterable[tuple["KClass", int]]) -> dict[int, "KClass"]:
     """The sum of the classes of each weight: a log-linear argument is
     additive in the class."""
     out: dict[int, KClass] = {}
     for x, k in weighted:
-        out[int(k)] = out.get(int(k), KClass.zero(ring)) + x
+        k = int(k)
+        out[k] = out[k] + x if k in out else x
     return out
 
 
 def _argument(
     ring: Ring, terms: Iterable[tuple["KClass", Table]], q_max: int | None = None
-) -> QSeries:
+) -> tuple[ScalarSeries, dict[int, Part]]:
     """sum over (x, table) of sum_l phi_l(q) * Ch_l(x), with Ch_0 = rank,
-    dropping exponents above q_max: the pairs (ring.const(phi_l[e]), Ch_l(x))
-    grouped by e, each coefficient one :meth:`ChowElement.sum_of_products`
-    (no scalar product or normalizing Chow sum per term)."""
-    pairs = []
+    dropping exponents above q_max, as its scalar part (the rank rows) and
+    its nonzero Chow-degree-l parts (the rows phi_l against Ch_l), in the
+    form the graded exp takes.  Each part is one integer accumulate over
+    (exponent, monomial) on one denominator, reading the rows' numerators."""
+    by_degree: dict[int, list[tuple[ScalarSeries, ChowElement]]] = {}
     for x, table in terms:
         if x.ring != ring:
             raise ValueError("ring mismatch")
         for l, phi in table.items():
             c = ring.const(x.rank) if l == 0 else x.chern_character(l)
-            if c:
-                pairs.append(({e: ring.const(v) for e, v in phi.items()}, {0: c}))
-    return QSeries._raw(ring, _convolve(ring, pairs, q_max), q_max)
+            if phi and c:
+                by_degree.setdefault(l, []).append((phi, c))
+    parts: dict[int, Part] = {}
+    for l, items in by_degree.items():
+        den = lcm(*(phi.den * c._den for phi, c in items))
+        acc: dict[int, dict[int, int]] = {}
+        for phi, c in items:
+            rows = {e: {0: v} for e, v in phi.num.items()}
+            f = den // (phi.den * c._den)
+            multiply_accumulate(ring._mono, acc, rows, {0: c._num}, f, q_max)
+        acc = {e: nz for e, row in acc.items() if (nz := {i: v for i, v in row.items() if v})}
+        if acc:
+            parts[l] = (acc, den)
+    num, den = parts.pop(0, ({}, 1))
+    return ScalarSeries.reduced({e: row[0] for e, row in num.items()}, den), parts
 
 
-def _log_linear(arg: QSeries, order: int | None = None, rank: QSeries | None = None) -> QSeries:
-    """The multiplicative class rank * exp(arg), reliable up to ``order``
-    at most.  The coefficients of ``arg`` at q^0 and at poles must be
-    nilpotent; ``rank`` is a scalar series (None stands for 1)."""
-    out = arg.exp(order)
-    return out if rank is None else rank * out
+def _log_linear(ring: Ring, terms: Iterable[tuple["KClass", Table]], q_max: int | None = None,
+                order: int | None = None, rank: ScalarSeries | None = None) -> QSeries:
+    """The multiplicative class rank * exp(A) for the argument A of
+    :func:`_argument` (reliable up to q_max, None: exact), with exp(A)
+    reliable up to ``order`` at most.  The coefficients of A at q^0 and at
+    poles must be nilpotent; ``rank`` is an exact scalar series (None
+    stands for 1)."""
+    return _exp(ring, *_argument(ring, terms, q_max), q_max, order, rank)
 
 
 def _euler_product(ring: Ring, weighted: list[tuple["KClass", int]]) -> QSeries:
     """prod e_{kq}(x) over weighted classes, exact: prod (kq)^rank times
     one exp of the Euler arguments, the classes of each weight merged."""
-    rank = _euler_rank(ring, weighted)
-    merged = _by_weight(ring, weighted)
-    arg = _argument(ring, [(x, _euler_table(k, ring.truncation)) for k, x in merged.items()])
-    return _log_linear(arg, None, rank)
+    rank = _euler_rank(weighted)
+    merged = _by_weight(weighted)
+    return _log_linear(
+        ring, [(x, _euler_table(k, ring.truncation)) for k, x in merged.items()], rank=rank
+    )
 
 
 def _log_linear_to(
@@ -289,12 +302,12 @@ def _log_linear_to(
     orders below its poles, so each table is built to target - rho + D + 1.
     """
     D = ring.truncation
-    rank = _euler_rank(ring, weighted)
-    rho = rank.exponents()[0]
+    rank = _euler_rank(weighted)
+    (rho,) = rank
 
     def at(order: int) -> QSeries:
-        arg = _argument(ring, [(x, table(k, D, order)) for x, k, table in terms], order)
-        return _log_linear(arg, target - rho, rank)
+        args = [(x, table(k, D, order)) for x, k, table in terms]
+        return _log_linear(ring, args, order, target - rho, rank)
 
     return compute_at_precision(at, target, D + 1 - rho)
 
@@ -408,7 +421,7 @@ def sum_of_roots(ring: Ring, alphas: Iterable[ChowElement]) -> KClass:
 def todd(x: KClass) -> ChowElement:
     """Todd class, exp(-sum_{l>=1} B_l(0)/l * Ch_l(x)); Td(L) = 1 + c/2 + c^2/12 + ..."""
     table = _todd_table(0, x.ring.truncation, 0)
-    return _log_linear(_argument(x.ring, [(x, table)])).coefficient(0)
+    return _log_linear(x.ring, [(x, table)]).coefficient(0)
 
 
 def hirzebruch_class(t, x: KClass, q_max: int | None = None):
@@ -427,8 +440,8 @@ def hirzebruch_class(t, x: KClass, q_max: int | None = None):
         raise ValueError("ring mismatch")
     table, valid, one_minus = _hirzebruch_table(t, ring.truncation)
     if not formal:
-        rank = QSeries.from_scalars(ring, {0: one_minus[0] ** x.rank})
-        return _log_linear(_argument(ring, [(x, table)]), None, rank).coefficient(0)
+        rank = ScalarSeries.of({0: one_minus[0] ** x.rank})
+        return _log_linear(ring, [(x, table)], rank=rank).coefficient(0)
     order = t.q_max
     out_order = order if q_max is None else min(int(q_max), order)
     if x.rank >= 0:
@@ -437,7 +450,7 @@ def hirzebruch_class(t, x: KClass, q_max: int | None = None):
         rank_data = scalar_pow(scalar_invert(one_minus, order), -x.rank, out_order)
         rank_valid = min(order - 1 + x.rank, out_order)
     rank = QSeries.from_scalars(ring, rank_data, rank_valid)
-    return _log_linear(_argument(ring, [(x, table)], valid), out_order, rank)
+    return rank * _log_linear(ring, [(x, table)], valid, out_order)
 
 
 def equivariant_euler(x: KClass, weight: int) -> QSeries:
@@ -466,7 +479,7 @@ def todd_twist_ratio(x: KClass, weight: int, q_max: int | None = None) -> QSerie
     if weight == 0 or target < 1:
         return QSeries.one(ring).truncated(max(target, 0))
     table = _twist_table(weight, ring.truncation, target)
-    return _log_linear(_argument(ring, [(x, table)], target), target)
+    return _log_linear(ring, [(x, table)], target, target)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def _cmd_chain_analyze(args) -> int:
         f"weights: {_tuple_str(chain.weights)}",
         f"degree: {chain.degree}",
         f"charges: {_tuple_str(chain.charges)}",
-        f"calabi_yau: {'true' if is_calabi_yau(chain) else 'false'}",
+        f"calabi_yau: {_flag(is_calabi_yau(chain))}",
         f"aut_order: {math.prod(chain.exponents)}",
         f"grading_element: {grading_element(chain)}",
         f"q_weights: {_tuple_str(weight_sequence(chain))}",
@@ -247,14 +247,104 @@ def _sampled(job: dict, ring: Ring) -> list[tuple[KClass, int]]:
     return [(sample_kclass(rng, ring), sample_weight(rng)) for _ in range(count)]
 
 
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
 def _series_lines(result) -> list[str]:
-    lines = [f"series: {result.series}"]
-    lines.append(f"convergent: {'true' if result.convergent else 'false'}")
-    for e, c in result.relations:
-        lines.append(f"relation {e} {c}")
+    lines = [f"series: {result.series}", f"convergent: {_flag(result.convergent)}"]
+    lines += [f"relation {e} {c}" for e, c in result.relations]
     if result.convergent:
         lines.append(f"limit = {result.limit}")
     return lines
+
+
+def _classes_identity(job: dict, ring: Ring, classes: dict, chain) -> tuple[list[str], int]:
+    if "pairs" in job:
+        pairs = _weighted_list(job["pairs"], classes, ring, "job.pairs")
+        _require(bool(pairs), "job.pairs", "must name at least one pair")
+        items = [(f"{pair['class']}@{w}", x, w) for (x, w), pair in zip(pairs, job["pairs"])]
+    else:
+        items = [(f"sample[{i}]@{w}", x, w) for i, (x, w) in enumerate(_sampled(job, ring))]
+    lines, good = [], 0
+    for label, x, w in items:
+        check = euler_identity_check(x, w)
+        if check.equal:
+            good += 1
+            lines.append(f"identity {label}: equal")
+        else:
+            lines.append(f"identity {label}: DIFFER  {check.difference}")
+    lines.append(f"identity: {good}/{len(items)} equal")
+    return lines, 0 if good == len(items) else 2
+
+
+def _classes_hodge(job: dict, ring: Ring, classes: dict, chain) -> tuple[list[str], int]:
+    hodge = _resolve_class(job.get("hodge"), classes, ring, "job.hodge")
+    if chain is not None and "pushed_names" in job:
+        names = job["pushed_names"]
+        _require(isinstance(names, list), "job.pushed_names", "must be a list of names")
+        pushed_cls = [
+            _resolve_class(nm, classes, ring, f"job.pushed_names[{i}]")
+            for i, nm in enumerate(names)
+        ]
+        try:
+            inp = LocInput.for_chain(ring, hodge, pushed_cls, chain)
+        except ValueError as exc:
+            raise JobError("job", str(exc)) from exc
+    else:
+        pushed = _weighted_list(job.get("pushed", []), classes, ring, "job.pushed")
+        hw = _weight(job.get("hodge_weight"), "job.hodge_weight")
+        try:
+            inp = LocInput(ring=ring, hodge=hodge, hodge_weight=hw, pushed=tuple(pushed))
+        except ValueError as exc:
+            raise JobError("job", str(exc)) from exc
+    result = hodge_product(inp)
+    return _series_lines(result), 0 if result.convergent else 2
+
+
+def _classes_general(job: dict, ring: Ring, classes: dict, chain) -> tuple[list[str], int]:
+    hodge = _resolve_class(job.get("hodge"), classes, ring, "job.hodge")
+    hw = _weight(job.get("hodge_weight"), "job.hodge_weight")
+    v, t, n = (_weighted_list(job.get(key, []), classes, ring, f"job.{key}") for key in "vtn")
+    try:
+        result = localization_product(hodge, hw, v, t, n)
+    except ValueError as exc:
+        raise JobError("job", str(exc)) from exc
+    return _series_lines(result), 0 if result.convergent else 2
+
+
+def _classes_tautrel(job: dict, ring: Ring, classes: dict, chain) -> tuple[list[str], int]:
+    if "factors" in job:
+        factors = _weighted_list(job["factors"], classes, ring, "job.factors")
+        _require(bool(factors), "job.factors", "must name at least one factor")
+    else:
+        factors = _sampled(job, ring)
+    report = crosscheck_factors(ring, factors)
+    lines = [
+        f"euler_convergent: {_flag(report.euler_convergent)}",
+        f"hirzebruch_convergent: {_flag(report.hirzebruch_convergent)}",
+    ]
+    for side, series in (("euler", report.side_euler), ("hirzebruch", report.side_hirzebruch)):
+        lines += [f"relation {side} {e} {c}" for e, c in series.negative_part()]
+    if report.limits_equal is None:
+        lines.append("limits_equal: n/a")
+    else:
+        lines += [f"limits_equal: {_flag(report.limits_equal)}", f"limit = {report.limit_euler}"]
+    lines += [
+        f"span euler_in_hirzebruch: {_flag(report.span_euler_in_hirzebruch)}",
+        f"span hirzebruch_in_euler: {_flag(report.span_hirzebruch_in_euler)}",
+        f"tautrel: {'pass' if report.passed else 'FAIL'}",
+    ]
+    return lines, 0 if report.passed else 2
+
+
+# mode -> handler(job, ring, classes, chain) -> (report lines, exit status)
+_CLASS_MODES = {
+    "hodge": _classes_hodge,
+    "general": _classes_general,
+    "identity": _classes_identity,
+    "tautrel": _classes_tautrel,
+}
 
 
 def _cmd_classes(args) -> int:
@@ -272,110 +362,13 @@ def _cmd_classes(args) -> int:
             raise JobError("chain", str(exc)) from exc
     job = doc.get("job", {})
     _require(isinstance(job, dict), "job", "must be an object")
-
-    lines = [
+    lines, status = _CLASS_MODES[args.mode](job, ring, classes, chain)
+    header = [
         f"mode: {args.mode}",
         f"q_max: {ring.q_max}",
         "job: " + json.dumps(job, sort_keys=True, separators=(", ", ": ")),
     ]
-    status = 0
-
-    if args.mode == "identity":
-        items: list[tuple[str, KClass, int]] = []
-        if "pairs" in job:
-            pairs = _weighted_list(job["pairs"], classes, ring, "job.pairs")
-            _require(bool(pairs), "job.pairs", "must name at least one pair")
-            for (x, w), pair in zip(pairs, job["pairs"]):
-                items.append((f"{pair['class']}@{w}", x, w))
-        else:
-            for i, (x, w) in enumerate(_sampled(job, ring)):
-                items.append((f"sample[{i}]@{w}", x, w))
-        good = 0
-        for label, x, w in items:
-            check = euler_identity_check(x, w)
-            if check.equal:
-                good += 1
-                lines.append(f"identity {label}: equal")
-            else:
-                lines.append(f"identity {label}: DIFFER  {check.difference}")
-        lines.append(f"identity: {good}/{len(items)} equal")
-        if good != len(items):
-            status = 2
-
-    elif args.mode == "hodge":
-        hodge = _resolve_class(job.get("hodge"), classes, ring, "job.hodge")
-        if chain is not None and "pushed_names" in job:
-            names = job["pushed_names"]
-            _require(
-                isinstance(names, list), "job.pushed_names", "must be a list of names"
-            )
-            pushed_cls = [
-                _resolve_class(nm, classes, ring, f"job.pushed_names[{i}]")
-                for i, nm in enumerate(names)
-            ]
-            try:
-                inp = LocInput.for_chain(ring, hodge, pushed_cls, chain)
-            except ValueError as exc:
-                raise JobError("job", str(exc)) from exc
-        else:
-            pushed = _weighted_list(job.get("pushed", []), classes, ring, "job.pushed")
-            hw = _weight(job.get("hodge_weight"), "job.hodge_weight")
-            try:
-                inp = LocInput(ring=ring, hodge=hodge, hodge_weight=hw, pushed=tuple(pushed))
-            except ValueError as exc:
-                raise JobError("job", str(exc)) from exc
-        result = hodge_product(inp)
-        lines += _series_lines(result)
-        if not result.convergent:
-            status = 2
-
-    elif args.mode == "general":
-        hodge = _resolve_class(job.get("hodge"), classes, ring, "job.hodge")
-        hw = _weight(job.get("hodge_weight"), "job.hodge_weight")
-        v = _weighted_list(job.get("v", []), classes, ring, "job.v")
-        t = _weighted_list(job.get("t", []), classes, ring, "job.t")
-        n = _weighted_list(job.get("n", []), classes, ring, "job.n")
-        try:
-            result = localization_product(hodge, hw, v, t, n)
-        except ValueError as exc:
-            raise JobError("job", str(exc)) from exc
-        lines += _series_lines(result)
-        if not result.convergent:
-            status = 2
-
-    elif args.mode == "tautrel":
-        if "factors" in job:
-            factors = _weighted_list(job["factors"], classes, ring, "job.factors")
-            _require(bool(factors), "job.factors", "must name at least one factor")
-        else:
-            factors = _sampled(job, ring)
-        report = crosscheck_factors(ring, factors)
-        lines.append(f"euler_convergent: {'true' if report.euler_convergent else 'false'}")
-        lines.append(
-            f"hirzebruch_convergent: {'true' if report.hirzebruch_convergent else 'false'}"
-        )
-        for e, c in report.side_euler.negative_part():
-            lines.append(f"relation euler {e} {c}")
-        for e, c in report.side_hirzebruch.negative_part():
-            lines.append(f"relation hirzebruch {e} {c}")
-        if report.limits_equal is None:
-            lines.append("limits_equal: n/a")
-        else:
-            lines.append(f"limits_equal: {'true' if report.limits_equal else 'false'}")
-            lines.append(f"limit = {report.limit_euler}")
-        lines.append(
-            "span euler_in_hirzebruch: "
-            + ("true" if report.span_euler_in_hirzebruch else "false")
-        )
-        lines.append(
-            "span hirzebruch_in_euler: "
-            + ("true" if report.span_hirzebruch_in_euler else "false")
-        )
-        lines.append(f"tautrel: {'pass' if report.passed else 'FAIL'}")
-        if not report.passed:
-            status = 2
-
-    print("\n".join(lines))
+    print("\n".join(header + lines))
     return status
 
 
@@ -406,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ifun.set_defaults(func=_cmd_ifunction)
 
     classes = sub.add_parser("classes", help="characteristic-class jobs")
-    classes.add_argument("mode", choices=["hodge", "general", "identity", "tautrel"])
+    classes.add_argument("mode", choices=list(_CLASS_MODES))
     classes.add_argument("--job", required=True)
     classes.add_argument("--q-max", type=_non_negative_int, default=None)
     classes.set_defaults(func=_cmd_classes)

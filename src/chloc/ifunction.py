@@ -173,8 +173,20 @@ def i_coefficient(chain: ChainData, k: int) -> ICoefficient:
 
 def nonequivariant_limit(ic: ICoefficient) -> RatFunc:
     """The q -> 0 limit of a coefficient; zero exactly when some admissible
-    b-progression contains b = 0 (each such b contributes a bare q-factor)."""
-    return ic.value.subs_q0()
+    b-progression contains b = 0 (each such b contributes a bare q-factor).
+
+    I_k is homogeneous, so at q = 0 its numerator and its denominator (a
+    power of z) keep one term each, a z^n and b z^m, whose canonical
+    quotient is (a/b) z^(n - l) / z^(m - l), l = min(n, m): no gcd."""
+    (n, a), (m, b) = (
+        next(((i, c) for (i, j), c in p.items() if j == 0), (0, 0))
+        for p in (ic.value.num, ic.value.den)
+    )
+    if not a:
+        return RatFunc.zero()
+    low = min(n, m)
+    num = BivarPoly._raw({(n - low, 0): a / b})
+    return RatFunc._raw(num, BivarPoly._raw({(m - low, 0): Fraction(1)}))
 
 
 @dataclass(frozen=True)

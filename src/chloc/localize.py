@@ -156,7 +156,7 @@ def localization_product(
         raise ValueError("weights must be nonzero")
     target = ring.q_max if q_max is None else int(q_max)
     euler = [(hodge, -hodge_weight)] + list(v) + [(-x, k) for x, k in n]
-    todd_terms = _by_weight(ring, list(t) + [(-x, k) for x, k in v])
+    todd_terms = _by_weight(list(t) + [(-x, k) for x, k in v])
     terms = [(x, k, _euler_table) for x, k in euler]
     terms += [(x, k, _todd_table) for k, x in todd_terms.items() if x != KClass.zero(ring)]
     series = _log_linear_to(ring, euler, terms, target)
@@ -233,7 +233,7 @@ def crosscheck_factors(
     D = ring.truncation
     # both sides have the rank factor prod (kq)^rank
     side_a = _euler_product(ring, factors)
-    terms = [(x, k, _exp_hirzebruch_table) for k, x in _by_weight(ring, factors).items()]
+    terms = [(x, k, _exp_hirzebruch_table) for k, x in _by_weight(factors).items()]
     side_b = _log_linear_to(ring, factors, terms, target)
 
     neg_a = side_a.negative_part()

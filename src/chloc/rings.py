@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 import threading
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -100,6 +100,44 @@ def _monomial_table(degrees: tuple[int, ...], truncation: int) -> _Monomials:
         with _TABLES_LOCK:
             table = _TABLES.setdefault((degrees, truncation), _Monomials(len(degrees), truncation))
     return table
+
+
+def _exact(c) -> Scalar:
+    """An exact rational scalar; a float or any other type raises TypeError."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
+    return c
+
+
+def multiply_accumulate(table: _Monomials, acc: dict, x: dict, y: dict, f: int = 1,
+                        cutoff: int | None = None) -> None:
+    """The one multiply-accumulate kernel: acc[e1 + e2][k] += f * a * b over
+    the integer numerators a = x[e1][i] and b = y[e2][j], where m_k = m_i * m_j
+    lies within the truncation and e1 + e2 <= cutoff (None keeps every
+    exponent).  x and y map an exponent to ``{monomial index: numerator}``; a
+    Chow product is the one-exponent case ``{0: num}``.  The caller owns the
+    common denominator and reduces each output coefficient once."""
+    rows = table.rows
+    ys = sorted((e, list(t.items())) for e, t in y.items())
+    for e1, xs in x.items():
+        for e2, yt in ys:
+            e = e1 + e2
+            if cutoff is not None and e > cutoff:
+                break  # ys ascending
+            out = acc.get(e)
+            if out is None:
+                out = acc[e] = {}
+            get = out.get
+            for i, a in xs.items():
+                row = rows[i]
+                a *= f
+                for j, b in yt:
+                    try:
+                        k = row[j]
+                    except KeyError:
+                        k = table.product(i, j)
+                    if k >= 0:
+                        out[k] = get(k, 0) + a * b
 
 
 class Ring:
@@ -169,8 +207,7 @@ class Ring:
         return ChowElement._raw(self, {0: 1}, 1)
 
     def const(self, c: Scalar) -> "ChowElement":
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return self.zero()
         return ChowElement._raw(self, {0: c.numerator}, c.denominator)
@@ -197,13 +234,11 @@ class Ring:
             d = self.monomial_degree(mono)
             if d > self.truncation:
                 continue
-            c = Fraction(c)
+            c = _exact(c)
             if c:
                 i = self._mono.intern(mono, d)
                 acc[i] = acc.get(i, 0) + c
-        den = 1
-        for c in acc.values():
-            den = lcm(den, c.denominator)
+        den = lcm(*(c.denominator for c in acc.values()))
         return ChowElement._reduced(
             self, {i: c.numerator * (den // c.denominator) for i, c in acc.items()}, den
         )
@@ -276,38 +311,6 @@ class ChowElement:
             num = {i: v // g for i, v in num.items()}
             den //= g
         return cls._raw(ring, num, den)
-
-    @classmethod
-    def sum_of_products(
-        cls, ring: Ring, pairs: Sequence[tuple["ChowElement", "ChowElement"]]
-    ) -> "ChowElement":
-        """sum of x*y over (x, y) in pairs, all in ``ring``, as one
-        multiply-accumulate: the common denominator is the lcm of the
-        products of the operands' denominators, the numerators accumulate as
-        integers over the interned product rows, and one gcd follows."""
-        den = 1
-        for x, y in pairs:
-            d = x._den * y._den
-            if den % d:
-                den = lcm(den, d)
-        table = ring._mono
-        rows = table.rows
-        acc: dict[int, int] = {}
-        get = acc.get
-        for x, y in pairs:
-            f = den // (x._den * y._den)
-            rhs = list(y._num.items())
-            for i, a in x._num.items():
-                row = rows[i]
-                a *= f
-                for j, b in rhs:
-                    try:
-                        k = row[j]
-                    except KeyError:
-                        k = table.product(i, j)
-                    if k >= 0:
-                        acc[k] = get(k, 0) + a * b
-        return cls._reduced(ring, acc, den)
 
     # -- inspection ----------------------------------------------------------
 
@@ -393,7 +396,9 @@ class ChowElement:
         if not isinstance(other, ChowElement):
             return NotImplemented
         self._check(other)
-        return ChowElement.sum_of_products(self.ring, [(self, other)])
+        acc: dict[int, dict[int, int]] = {}
+        multiply_accumulate(self.ring._mono, acc, {0: self._num}, {0: other._num})
+        return ChowElement._reduced(self.ring, acc.get(0, {}), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -414,39 +419,21 @@ class ChowElement:
         return out
 
     def exp(self) -> "ChowElement":
-        """exp(x) = sum x^m / m!, a finite sum since x is nilpotent.
-
-        Requires a vanishing constant term.
-        """
+        """exp(x) for x with a vanishing constant term (so x is nilpotent),
+        by the Chow-degree recurrence of :mod:`chloc.series` at q^0."""
         if self.constant_term:
             raise ValueError("exp requires a class with zero constant term")
-        out = self.ring.one()
-        power = self.ring.one()
-        for m in range(1, self.ring.truncation + 1):
-            power = power * self
-            if power.is_zero:
-                break
-            out = out + power * Fraction(1, factorial(m))
-        return out
+        from .series import QSeries  # the series layer builds on this module
+
+        return QSeries.constant(self).exp().coefficient(0)
 
     def inverse(self) -> "ChowElement":
-        """Multiplicative inverse; requires a nonzero constant term.
-
-        Writes self = c*(1 + n) with n nilpotent and sums the finite
-        Neumann series (1 + n)^{-1} = sum (-n)^m.
-        """
-        c = self.constant_term
-        if not c:
+        """Multiplicative inverse by the same recurrence; needs a nonzero constant term."""
+        if not self.constant_term:
             raise ValueError("not invertible: zero constant term")
-        n = (self * (1 / c)) - self.ring.one()
-        out = self.ring.one()
-        power = self.ring.one()
-        for _ in range(self.ring.truncation + 1):
-            power = power * (-n)
-            if power.is_zero:
-                break
-            out = out + power
-        return out * (1 / c)
+        from .series import QSeries
+
+        return QSeries.constant(self).invert().coefficient(0)
 
     # -- comparison / display -----------------------------------------------
 

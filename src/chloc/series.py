@@ -23,11 +23,12 @@ Truncation bookkeeping:
   working order once and asks for it; a result short of the target raises
   ArithmeticError.
 
-A product groups the coefficient pairs by output exponent and builds each
-output coefficient with one multiply-accumulate on the integer kernel of
-:mod:`chloc.rings` (one common denominator, integer numerators, one gcd),
-so a pair costs no Chow sum of its own; a sum of products of several
-series pairs is grouped the same way, in one pass.
+Every kernel works on integer numerators over one positive denominator,
+as :mod:`chloc.rings` does (FLINT's ``fmpq_poly``): a :class:`ScalarSeries`
+keyed by exponent, a Chow-valued ``Part`` keyed by (exponent, monomial).  A
+product of series is one call of the multiply-accumulate kernel of
+:mod:`chloc.rings` on the factors' common denominators, and each output
+coefficient is reduced once.
 
 exp and invert work degree by degree in the Chow grading.  With A_j the
 Chow-degree-j part of the argument (A_0 its scalar part), E = exp(A) has
@@ -36,25 +37,80 @@ Euler operator of the grading is a derivation, so this is the derivative
 recurrence for the exponential of a power series (Brent and Kung, 1978)
 taken in the Chow degree instead of in q.  The inverse of 1 + u, with
 S = (1 + u_0)^{-1} and V_j = S u_j, has the parts F_0 = S and
-F_d = -sum_j V_j F_{d-j}.  Each part is one sum of products over all j,
-so the whole exp or inverse costs about one truncated product, where a
-sum of nilpotent powers costs D.
+F_d = -sum_j V_j F_{d-j}.  Each part F_d is one integer accumulate over
+all j on one denominator, the 1/d of exp folded into it; the parts sit on
+monomials of distinct degrees, so their sum is a merge, and the whole exp
+or inverse costs about one truncated product.
 
-The scalar helpers at the bottom operate on plain ``{exponent: Fraction}``
-maps with linear-recurrence kernels; the class methods route pure-scalar
-work through them.
+The scalar kernels at the bottom are integer linear recurrences on
+:class:`ScalarSeries`; ``scalar_exp`` carries E_m as N_m / (m! s^m) for
+the denominator s of its argument, so no step divides.
 
 All values are immutable and operations are pure.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from math import factorial, gcd, lcm, perm
+from typing import Callable
 
-from .rings import ChowElement, Ring, Scalar
+from .rings import ChowElement, Ring, Scalar, _exact, multiply_accumulate
 
-ScalarSeries = dict[int, Fraction]
+# Chow-valued numerators {exponent: {monomial index: numerator}} over one
+# positive denominator.
+Part = tuple[dict[int, dict[int, int]], int]
+
+
+class ScalarSeries(Mapping):
+    """A scalar Laurent series: ``num`` maps an exponent to a nonzero integer
+    numerator over the positive denominator ``den``, and
+    ``gcd(den, *num.values()) == 1``.  Immutable; as a read-only mapping it
+    shows exponent -> Fraction."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: dict[int, int], den: int = 1):
+        self.num = num  # pruned of zeros and reduced against den > 0
+        self.den = den
+
+    @classmethod
+    def reduced(cls, num: dict[int, int], den: int) -> "ScalarSeries":
+        """num / den for any nonzero den, zeros pruned, common factor removed."""
+        num = {e: v for e, v in num.items() if v}
+        if den < 0:
+            num, den = {e: -v for e, v in num.items()}, -den
+        g = gcd(den, *num.values())
+        if g != 1:
+            num, den = {e: v // g for e, v in num.items()}, den // g
+        return cls(num, den)
+
+    @classmethod
+    def of(cls, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]]) -> "ScalarSeries":
+        """The series of exact rationals given by exponent."""
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        terms = [(e, _exact(c)) for e, c in items]
+        den = lcm(*(c.denominator for _, c in terms))
+        num: dict[int, int] = {}
+        for e, c in terms:
+            num[e] = num.get(e, 0) + c.numerator * (den // c.denominator)
+        return cls.reduced(num, den)
+
+    def __getitem__(self, e: int) -> Fraction:
+        return Fraction(self.num[e], self.den)
+
+    def __iter__(self):
+        return iter(self.num)
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __neg__(self) -> "ScalarSeries":
+        return ScalarSeries({e: -v for e, v in self.num.items()}, self.den)
+
+
+_ONE = ScalarSeries({0: 1})
 
 
 class NotConvergentError(Exception):
@@ -75,12 +131,7 @@ class QSeries:
 
     __slots__ = ("ring", "_coeffs", "q_max")
 
-    def __init__(
-        self,
-        ring: Ring,
-        coeffs: Mapping[int, ChowElement],
-        q_max: int | None = None,
-    ):
+    def __init__(self, ring: Ring, coeffs: Mapping[int, ChowElement], q_max: int | None = None):
         clean: dict[int, ChowElement] = {}
         for e, c in coeffs.items():
             e = int(e)
@@ -149,20 +200,7 @@ class QSeries:
 
     def negative_part(self) -> list[tuple[int, ChowElement]]:
         """All (exponent, coefficient) pairs with exponent < 0, ascending."""
-        return sorted(
-            ((e, c) for e, c in self._coeffs.items() if e < 0), key=lambda t: t[0]
-        )
-
-    def scalar_data(self) -> ScalarSeries:
-        """The coefficients as plain rationals; every coefficient must be a
-        scalar multiple of the ring unit."""
-        out: ScalarSeries = {}
-        for e, c in self._coeffs.items():
-            c0 = c.constant_term
-            if not (c - self.ring.const(c0)).is_zero:
-                raise ValueError(f"coefficient of q^{e} is not scalar")
-            out[e] = c0
-        return out
+        return sorted(((e, c) for e, c in self._coeffs.items() if e < 0), key=lambda t: t[0])
 
     def limit(self) -> ChowElement:
         """The constant coefficient; raises NotConvergentError on q-poles.
@@ -180,37 +218,19 @@ class QSeries:
 
     def truncated(self, q_max: int) -> "QSeries":
         eff = q_max if self.q_max is None else min(q_max, self.q_max)
-        return QSeries._raw(
-            self.ring, {e: c for e, c in self._coeffs.items() if e <= eff}, eff
-        )
+        return QSeries._raw(self.ring, {e: c for e, c in self._coeffs.items() if e <= eff}, eff)
 
     def shifted(self, k: int) -> "QSeries":
         """Multiply by q^k."""
-        return QSeries._raw(
-            self.ring,
-            {e + k: c for e, c in self._coeffs.items()},
-            None if self.q_max is None else self.q_max + k,
-        )
+        q_max = None if self.q_max is None else self.q_max + k
+        return QSeries._raw(self.ring, {e + k: c for e, c in self._coeffs.items()}, q_max)
 
     def _ord_bound(self) -> int | None:
         # Lower bound on the valuation, for truncation bookkeeping; None
         # means the series is exactly zero.
         if self._coeffs:
             return min(self._coeffs)
-        if self.q_max is None:
-            return None
-        return self.q_max + 1
-
-    def _pad(self, nil: dict[int, dict[int, ChowElement]], lowest: int) -> int:
-        """The working-order padding of exp and invert for the parts of
-        :meth:`_split`: D + 1 when a nilpotent term sits at an exponent <=
-        lowest, else 0.  Raises ValueError if a degree-j part reaches below
-        q^-j (a coefficient at q^-e of Chow degree below e)."""
-        lows = {j: min(part) for j, part in nil.items()}
-        for j, e in lows.items():
-            if e < -j:
-                raise ValueError(f"the coefficient of q^{e} has Chow degree below {-e}")
-        return self.ring.truncation + 1 if lows and min(lows.values()) <= lowest else 0
+        return None if self.q_max is None else self.q_max + 1
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -232,12 +252,7 @@ class QSeries:
         if o is None:
             return NotImplemented
         self._check(o)
-        if self.q_max is None:
-            q_max = o.q_max
-        elif o.q_max is None:
-            q_max = self.q_max
-        else:
-            q_max = min(self.q_max, o.q_max)
+        q_max = min((x.q_max for x in (self, o) if x.q_max is not None), default=None)
         out = dict(self._coeffs)
         for e, c in o._coeffs.items():
             s = out.get(e)
@@ -253,9 +268,7 @@ class QSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries._raw(
-            self.ring, {e: -c for e, c in self._coeffs.items()}, self.q_max
-        )
+        return QSeries._raw(self.ring, {e: -c for e, c in self._coeffs.items()}, self.q_max)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -268,12 +281,8 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return QSeries._raw(self.ring, {}, self.q_max)
-            return QSeries._raw(
-                self.ring, {e: v * c for e, v in self._coeffs.items()}, self.q_max
-            )
+            out = {e: v * other for e, v in self._coeffs.items()} if other else {}
+            return QSeries._raw(self.ring, out, self.q_max)
         if isinstance(other, ChowElement):
             if other.ring != self.ring:
                 raise ValueError("ring mismatch")
@@ -299,9 +308,12 @@ class QSeries:
                     return QSeries._raw(self.ring, {}, None)
                 bounds.append(x.q_max + o)
         q_max = min(bounds) if bounds else None
-        return QSeries._raw(
-            self.ring, _convolve(self.ring, [(self._coeffs, other._coeffs)], q_max), q_max
-        )
+        (x, dx), (y, dy) = _lift(self._coeffs), _lift(other._coeffs)
+        acc: dict[int, dict[int, int]] = {}
+        multiply_accumulate(self.ring._mono, acc, x, y, 1, q_max)
+        ring, den = self.ring, dx * dy
+        out = {e: c for e, num in acc.items() if (c := ChowElement._reduced(ring, num, den))}
+        return QSeries._raw(ring, out, q_max)
 
     __rmul__ = __mul__
 
@@ -321,16 +333,16 @@ class QSeries:
         ring = self.ring
         if not self._coeffs:
             raise ZeroDivisionError("cannot invert the zero series")
-        e_star = next((e for e in sorted(self._coeffs) if self._coeffs[e].constant_term), None)
-        if e_star is None:
+        # self = P + N for its scalar part P = c q^e_star (1 + u_0) and its
+        # nilpotent part N: 1/self = P^-1 (1 + V)^-1 with V = P^-1 N, so the
+        # parts are F_0 = P^-1 and F_d = sum_j (-V_j) F_{d-j}.  The grading
+        # bound and the padding apply to u = self / (c q^e_star) - 1.
+        scal, nil = self._split()
+        if not scal:
             raise ValueError("not invertible: no coefficient has a nonzero scalar part")
-        c = self._coeffs[e_star].constant_term
-
-        # self = c q^{e_star} (1 + u);  u = u_scal + u_nil.
-        u = (self.shifted(-e_star) * (1 / c)) - QSeries.one(ring)
-        u_scal, u_nil = u._split()
-        exact_out = self.q_max is None and not u_scal
-        pad = 0 if exact_out else u._pad(u_nil, 0)
+        e_star = min(scal.num)
+        exact_out = self.q_max is None and len(scal) == 1
+        pad = 0 if exact_out else _pad(ring, nil, 0, e_star)
 
         target = ring.q_max if q_max is None else int(q_max)
         if self.q_max is not None:
@@ -339,15 +351,14 @@ class QSeries:
         if cutoff is not None and cutoff < 0:
             # the lowest term of the inverse sits at q^(-e_star - pad) or above
             return QSeries._raw(ring, {}, target)
-
-        # (1 + u)^{-1} = S (1 + v)^{-1} with S = (1 + u_scal)^{-1} and
-        # v = S u_nil nilpotent: F_0 = S and F_d = -sum_j v_j F_{d-j}.
-        inv = scalar_invert({0: Fraction(1), **u_scal}, cutoff) if u_scal else {0: 1}
-        inv_scal = QSeries.from_scalars(ring, inv)._coeffs
-        v = {j: _convolve(ring, [(inv_scal, part)], cutoff) for j, part in u_nil.items()}
-        out = _graded_series(ring, inv_scal, v, cutoff, lambda d: -1)
-        out = out.shifted(-e_star) * (1 / c)
-        return out if exact_out else out.truncated(target)
+        top, low = (None, None) if exact_out else (target, cutoff - e_star)
+        inv = scalar_invert(scal, -e_star if exact_out else low)
+        lifted = {e: {0: n} for e, n in inv.num.items()}
+        v = {}
+        for j, (num, den) in nil.items():  # V_j, cut at cutoff in the frame of u
+            v[j] = ({}, inv.den * den)
+            multiply_accumulate(ring._mono, v[j][0], lifted, num, -1, cutoff)
+        return QSeries._raw(ring, _graded_series(ring, inv, v, low, top, False), top)
 
     # -- exponential ---------------------------------------------------------------
 
@@ -358,37 +369,18 @@ class QSeries:
         genuine power series in q and is truncated at the requested order.
         If the input is exact and has no scalar part the result is exact.
         """
-        ring = self.ring
-        scal, nil = self._split()
-        if scal and min(scal) <= 0:
-            raise ValueError(
-                f"exp requires scalar parts only at positive exponents, found q^{min(scal)}"
-            )
-        cutoff = None
-        if scal or self.q_max is not None:
-            pad = self._pad(nil, -1)
-            target = ring.q_max if q_max is None else int(q_max)
-            if self.q_max is not None:
-                target = min(target, self.q_max - pad)
-            cutoff = target + pad
-        # E_0 = exp(scalar part) and d E_d = sum_j j A_j E_{d-j}
-        first = QSeries.from_scalars(ring, scalar_exp(scal, cutoff) if scal else {0: 1})._coeffs
-        weighted = {j: {e: c * j for e, c in part.items()} for j, part in nil.items()}
-        out = _graded_series(ring, first, weighted, cutoff, lambda d: Fraction(1, d))
-        return out if cutoff is None else out.truncated(target)
+        return _exp(self.ring, *self._split(), self.q_max, q_max)
 
-    def _split(self) -> tuple[ScalarSeries, dict[int, dict[int, ChowElement]]]:
+    def _split(self) -> tuple[ScalarSeries, dict[int, Part]]:
         """The scalar parts of the coefficients, and their nilpotent parts
-        by Chow degree: ``{j: {exponent: degree-j part}}`` for j >= 1."""
-        scal: ScalarSeries = {}
-        nil: dict[int, dict[int, ChowElement]] = {}
+        by Chow degree, each over one denominator: ``{j: part}`` for j >= 1."""
+        split: dict[int, dict[int, ChowElement]] = {}
         for e, c in self._coeffs.items():
             for j, part in c.graded_parts().items():
-                if j:
-                    nil.setdefault(j, {})[e] = part
-                else:
-                    scal[e] = part.constant_term
-        return scal, nil
+                split.setdefault(j, {})[e] = part
+        parts = {j: _lift(by_exp) for j, by_exp in split.items()}
+        num, den = parts.pop(0, ({}, 1))
+        return ScalarSeries.reduced({e: row[0] for e, row in num.items()}, den), parts
 
     # -- comparison / display --------------------------------------------------------
 
@@ -400,15 +392,10 @@ class QSeries:
             other = o
         if self.ring != other.ring:
             return False
-        if self.q_max is None and other.q_max is None:
+        bound = min((x.q_max for x in (self, other) if x.q_max is not None), default=None)
+        if bound is None:
             return self._coeffs == other._coeffs
-        bound = min(x.q_max for x in (self, other) if x.q_max is not None)
-        for e in set(self._coeffs) | set(other._coeffs):
-            if e > bound:
-                continue
-            if self.coefficient(e) != other.coefficient(e):
-                return False
-        return True
+        return self.truncated(bound)._coeffs == other.truncated(bound)._coeffs
 
     __hash__ = None
 
@@ -431,72 +418,97 @@ class QSeries:
         return f"<QSeries {self}>"
 
 
-def _convolve(ring: Ring, pairs: Sequence[tuple[dict, dict]], q_max: int | None) -> dict:
-    """The coefficients of the sum of the products a*b over the series
-    pairs (a, b), dropping exponents above q_max.  The coefficient pairs
-    are grouped by output exponent and each output coefficient is one
-    multiply-accumulate over its group
-    (:meth:`ChowElement.sum_of_products`), so a pair costs no Chow sum and
-    no normalization of its own."""
-    groups: dict[int, list[tuple[ChowElement, ChowElement]]] = {}
-    for a, b in pairs:
-        b_items = sorted(b.items())
-        for e1, c1 in sorted(a.items()):
-            for e2, c2 in b_items:
-                e = e1 + e2
-                if q_max is not None and e > q_max:
-                    break  # b_items ascending
-                groups.setdefault(e, []).append((c1, c2))
-    out: dict[int, ChowElement] = {}
-    for e, group in groups.items():
-        c = ChowElement.sum_of_products(ring, group)
-        if c:
-            out[e] = c
-    return out
+def _lift(coeffs: dict[int, ChowElement]) -> Part:
+    """Chow coefficients by exponent brought to one denominator."""
+    den = lcm(*(c._den for c in coeffs.values()))
+    return {
+        e: c._num if c._den == den else {i: v * (den // c._den) for i, v in c._num.items()}
+        for e, c in coeffs.items()
+    }, den
 
 
-def _graded_series(
-    ring: Ring,
-    first: dict[int, ChowElement],
-    parts: dict[int, dict[int, ChowElement]],
-    cutoff: int | None,
-    scale: Callable[[int], Scalar],
-) -> QSeries:
-    """The exact series sum_{d=0}^{D} F_d of Chow-degree-d parts F_0 =
-    ``first`` (scalar) and F_d = scale(d) * sum_{j=1}^{d} parts[j] * F_{d-j},
-    each F_d one :func:`_convolve`, exponents above cutoff dropped (None
-    keeps all).  ``parts[j]`` must be homogeneous of degree j.
+def _pad(ring: Ring, nil: dict[int, Part], lowest: int, shift: int = 0) -> int:
+    """The working-order padding of exp and invert for nilpotent parts by
+    Chow degree, taken at q^-shift: D + 1 when a nilpotent term sits at an
+    exponent <= lowest, else 0.  Raises ValueError if a degree-j part
+    reaches below q^-j (a coefficient at q^-e of Chow degree below e)."""
+    lows = {j: min(num) - shift for j, (num, _) in nil.items()}
+    for j, e in lows.items():
+        if e < -j:
+            raise ValueError(f"the coefficient of q^{e} has Chow degree below {-e}")
+    return ring.truncation + 1 if lows and min(lows.values()) <= lowest else 0
+
+
+def _exp(ring: Ring, scal: ScalarSeries, nil: dict[int, Part], arg_q_max: int | None,
+         q_max: int | None, rank: ScalarSeries | None = None) -> QSeries:
+    """rank * exp(A), A with the scalar part ``scal`` and the nonzero
+    Chow-degree parts ``nil`` of :meth:`QSeries._split`, reliable up to
+    ``arg_q_max`` (None: exact); see :meth:`QSeries.exp`.  The exact scalar
+    series ``rank`` (None: 1) enters through E_0, as the recurrence is
+    linear in it, and shifts the orders by its lowest exponent."""
+    if scal and min(scal.num) <= 0:
+        raise ValueError(
+            f"exp requires scalar parts only at positive exponents, found q^{min(scal.num)}"
+        )
+    cutoff = target = None
+    if scal or arg_q_max is not None:
+        pad = _pad(ring, nil, -1)
+        target = ring.q_max if q_max is None else int(q_max)
+        if arg_q_max is not None:
+            target = min(target, arg_q_max - pad)
+        cutoff = target + pad
+    # E_0 = exp(scalar part) and d E_d = sum_j j A_j E_{d-j}
+    first = scalar_exp(scal, cutoff) if scal else _ONE
+    if rank is not None:
+        if cutoff is not None:
+            rho = min(rank.num)
+            cutoff, target = cutoff + rho, target + rho
+        first = scalar_mul(rank, first, cutoff)
+    return QSeries._raw(ring, _graded_series(ring, first, nil, cutoff, target, True), target)
+
+
+def _graded_series(ring: Ring, first: ScalarSeries, parts: dict[int, Part], cutoff: int | None,
+                   top: int | None, exp: bool) -> dict[int, ChowElement]:
+    """The coefficients up to q^top (None keeps all) of sum_{d=0}^{D} F_d,
+    F_0 = ``first`` and F_d = sum_{j=1}^{d} parts[j] F_{d-j}, or
+    F_d = (1/d) sum_j j parts[j] F_{d-j} when ``exp``, each F_d one integer
+    accumulate on one denominator with exponents above cutoff dropped (None
+    keeps all).  ``parts[j]`` is homogeneous of degree j, so the F_d sit on
+    disjoint monomials: their sum is a merge, each coefficient reduced once.
 
     Dropping is safe below cutoff - D: parts[j] lives at exponents >= -j
-    (the grading bound :meth:`QSeries._pad` checks) and F_0 at >= 0, so along
-    any chain of products a term moves down by at most d <= D.  Hence the
-    fixed D + 1 padding of exp and invert."""
-    graded = [first]
-    out = QSeries._raw(ring, first, None)
+    (the grading bound :func:`_pad` checks) and F_0 above its own lowest
+    exponent, so along any chain of products a term moves down by at most
+    d <= D.  Hence the fixed D + 1 padding of exp and invert."""
+    table = ring._mono
+    graded: list[Part] = [({e: {0: v} for e, v in first.num.items()}, first.den)]
     for d in range(1, ring.truncation + 1):
-        pairs = [(parts[j], graded[d - j]) for j in range(1, d + 1) if j in parts]
-        s = scale(d)
-        graded.append({e: c * s for e, c in _convolve(ring, pairs, cutoff).items()})
-        out = out + QSeries._raw(ring, graded[d], None)
-    return out
+        terms = [(j, parts[j], graded[d - j]) for j in range(1, d + 1)
+                 if j in parts and graded[d - j][0]]
+        den = lcm(*(a[1] * b[1] for _, a, b in terms))
+        acc: dict[int, dict[int, int]] = {}
+        for j, (a, da), (b, db) in terms:
+            multiply_accumulate(table, acc, a, b, (j if exp else 1) * (den // (da * db)), cutoff)
+        graded.append((acc, den * d if exp else den))
+    den = lcm(*(d for num, d in graded if num))
+    merged: dict[int, dict[int, int]] = {}
+    for num, d in graded:
+        f = den // d
+        for e, row in num.items():
+            if top is None or e <= top:
+                out = merged.setdefault(e, {})
+                for i, v in row.items():
+                    out[i] = v * f
+    return {e: c for e, num in merged.items() if (c := ChowElement._reduced(ring, num, den))}
 
 
 def q_exponential(ring: Ring, scale: Scalar, q_max: int | None = None) -> QSeries:
     """The series exp(scale * q) truncated at the requested order."""
     target = ring.q_max if q_max is None else int(q_max)
-    s = Fraction(scale)
-    data = {}
-    p = Fraction(1)
-    for n in range(0, max(target, 0) + 1):
-        if n:
-            p = p * s / n
-        data[n] = p
-    return QSeries.from_scalars(ring, data, target)
+    return QSeries.from_scalars(ring, scalar_exp(ScalarSeries.of([(1, scale)]), target), target)
 
 
-def compute_at_precision(
-    fn: Callable[[int], QSeries], target: int, margin: int
-) -> QSeries:
+def compute_at_precision(fn: Callable[[int], QSeries], target: int, margin: int) -> QSeries:
     """fn at the working order target + margin, truncated at target; raises
     ArithmeticError if the result is not reliable up to target."""
     out = fn(target + margin)
@@ -511,58 +523,61 @@ def compute_at_precision(
 
 
 def scalar_mul(a: ScalarSeries, b: ScalarSeries, cutoff: int | None) -> ScalarSeries:
-    out: ScalarSeries = {}
-    b_items = sorted(b.items())
-    for e1, c1 in sorted(a.items()):
-        if not c1:
-            continue
-        for e2, c2 in b_items:
+    """The product, exponents above cutoff dropped (None keeps all)."""
+    out: dict[int, int] = {}
+    b_items = sorted(b.num.items())
+    for e1, x in a.num.items():
+        for e2, y in b_items:
             e = e1 + e2
             if cutoff is not None and e > cutoff:
                 break
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+            out[e] = out.get(e, 0) + x * y
+    return ScalarSeries.reduced(out, a.den * b.den)
 
 
 def scalar_invert(a: ScalarSeries, cutoff: int) -> ScalarSeries:
-    """Inverse of a scalar Laurent series with an invertible lowest term,
-    by the linear convolution recurrence."""
+    """Inverse of a nonzero scalar Laurent series up to q^cutoff, by the
+    linear convolution recurrence.  With a = q^e0 P / s and P = sum p_k q^k,
+    the inverse is s q^-e0 sum_m N_m q^m / p_0^{m+1} for the integers N_0 = 1
+    and N_m = -sum_{k=1}^{m} p_k p_0^{k-1} N_{m-k}."""
     if not a:
         raise ZeroDivisionError("cannot invert the zero series")
-    e0 = min(a)
-    if not a[e0]:
-        raise ValueError("leading coefficient must be nonzero")
+    e0 = min(a.num)
     n = cutoff + e0  # relative order of the result
-    p = [a.get(e0 + i, Fraction(0)) for i in range(max(n, 0) + 1)]
-    out = [Fraction(0)] * (max(n, 0) + 1)
-    out[0] = 1 / p[0]
-    for m in range(1, max(n, 0) + 1):
-        s = Fraction(0)
-        for k in range(1, m + 1):
-            if p[k]:
-                s += p[k] * out[m - k]
-        out[m] = -s / p[0]
-    return {i - e0: c for i, c in enumerate(out) if c and i - e0 <= cutoff}
+    if n < 0:
+        return ScalarSeries({})
+    p0 = a.num[e0]
+    powers = [p0**k for k in range(n + 2)]
+    steps = [(k, a.num[e0 + k] * powers[k - 1]) for k in range(1, n + 1) if e0 + k in a.num]
+    out = [1]
+    for m in range(1, n + 1):
+        out.append(-sum(c * out[m - k] for k, c in steps if k <= m))
+    return ScalarSeries.reduced(
+        {m - e0: a.den * v * powers[n - m] for m, v in enumerate(out)}, powers[n + 1]
+    )
 
 
 def scalar_exp(a: ScalarSeries, cutoff: int) -> ScalarSeries:
-    """exp of a scalar series supported in positive exponents, by the
-    derivative recurrence m E_m = sum_j j a_j E_{m-j}."""
-    if any(e <= 0 for e in a):
+    """exp of a scalar series supported in positive exponents, up to
+    q^cutoff, by the derivative recurrence m E_m = sum_j j a_j E_{m-j}.  With
+    a_j = A_j / s and E_m = N_m / (m! s^m) it reads
+    N_m = sum_j j A_j s^{j-1} (m-1)!/(m-j)! N_{m-j}, all in integers."""
+    if any(e <= 0 for e in a.num):
         raise ValueError("scalar exp needs positive exponents only")
-    out = [Fraction(0)] * (max(cutoff, 0) + 1)
-    out[0] = Fraction(1)
-    for m in range(1, max(cutoff, 0) + 1):
-        s = Fraction(0)
-        for j, coef in a.items():
-            if j <= m and coef:
-                s += j * coef * out[m - j]
-        out[m] = s / m
-    return {i: c for i, c in enumerate(out) if c}
+    n, s = max(cutoff, 0), a.den
+    steps = sorted((j, j * v * s ** (j - 1)) for j, v in a.num.items() if j <= n)
+    out = [1]
+    for m in range(1, n + 1):
+        out.append(sum(c * perm(m - 1, j - 1) * out[m - j] for j, c in steps if j <= m))
+    return ScalarSeries.reduced(
+        {m: v * (factorial(n) // factorial(m)) * s ** (n - m) for m, v in enumerate(out)},
+        factorial(n) * s**n,
+    )
 
 
 def scalar_pow(a: ScalarSeries, n: int, cutoff: int | None) -> ScalarSeries:
-    out: ScalarSeries = {0: Fraction(1)}
+    """a^n for n >= 0, exponents above cutoff dropped (None keeps all)."""
+    out = _ONE
     for _ in range(n):
         out = scalar_mul(out, a, cutoff)
     return out

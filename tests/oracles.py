@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values.
 
-The truncated-series oracles work on plain coefficient lists over Fraction
-and never touch the library's ring or series machinery, so agreement
+The truncated-series oracles work on plain coefficient lists and
+``{exponent: Fraction}`` Laurent maps over Fraction and never touch the
+library's ring or series machinery, so agreement
 between these expansions and the library is a genuine cross-check.  The
 truncated-polynomial oracles work the same way on plain
 ``{exponent tuple: Fraction}`` maps, apart from ``chloc.rings``.  The
@@ -93,6 +94,46 @@ def nilpotent_power_sum(series: QSeries, cutoff: int | None, coef) -> QSeries:
             break
         out = out + power * coef(m)
     return out
+
+
+def laurent_mul(a: dict, b: dict, cutoff) -> dict:
+    """The product of two ``{exponent: Fraction}`` Laurent maps by the
+    schoolbook double loop, exponents above cutoff dropped (None keeps all)."""
+    out: dict = {}
+    for e1, x in a.items():
+        for e2, y in b.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + Fraction(x) * y
+    return {e: c for e, c in out.items() if c and (cutoff is None or e <= cutoff)}
+
+
+def laurent_pow(a: dict, n: int, cutoff) -> dict:
+    """a^n for n >= 0, each partial product cut at cutoff."""
+    out = {0: Fraction(1)}
+    for _ in range(n):
+        out = laurent_mul(out, a, cutoff)
+    return out
+
+
+def laurent_exp(a: dict, cutoff: int) -> dict:
+    """exp(a) up to q^cutoff for a at positive exponents, as the finite sum
+    of a^m / m! (a^m starts at q^m)."""
+    out, power = {0: Fraction(1)}, {0: Fraction(1)}
+    for m in range(1, cutoff + 1):
+        power = laurent_mul(power, a, cutoff)
+        for e, c in power.items():
+            out[e] = out.get(e, Fraction(0)) + c / factorial(m)
+    return {e: c for e, c in out.items() if c}
+
+
+def laurent_inv(a: dict, cutoff: int) -> dict:
+    """1/a up to q^cutoff for a nonzero Laurent map: q^-e0 times the
+    inverse of the power series a / q^e0, e0 the lowest exponent of a."""
+    e0 = min(a)
+    n = cutoff + e0
+    if n < 0:
+        return {}
+    inv = ser_inv([Fraction(a.get(e0 + i, 0)) for i in range(n + 1)], n)
+    return {i - e0: c for i, c in enumerate(inv) if c}
 
 
 def ser_trim(a: list[Fraction], order: int) -> list[Fraction]:

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from chloc import Ring
+from chloc import QSeries, Ring
 from chloc.sampling import sample_chow, sample_ring
 
 from oracles import poly_add, poly_exp, poly_inverse, poly_mul, poly_scale, poly_trunc
@@ -23,6 +23,21 @@ def test_rational_ring():
     r = Ring([], 0)
     assert r.one() + r.const(F(1, 2)) == r.const(F(3, 2))
     assert str(r.const(F(-3, 2))) == "-3/2"
+
+
+def test_floats_are_rejected():
+    # exact arithmetic only: a float keeps its binary value, so every entry
+    # point refuses it, as ChowElement * 0.1 does
+    r = Ring([("a", 1)], 2)
+    for build in (
+        lambda: r.const(0.1),
+        lambda: r.element({(1,): 0.5}),
+        lambda: QSeries.from_scalars(r, {0: 1, 1: 0.25}),
+        lambda: r.generator("a") * 0.1,
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert r.const(True) == r.one() and r.element({(1,): F(1, 2)}) == r.generator("a") / 2
 
 
 def test_basis_of_univariate():

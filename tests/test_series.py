@@ -1,14 +1,25 @@
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 from random import Random
 
 import pytest
 
 from chloc import NotConvergentError, QSeries, Ring, q_exponential
 from chloc.sampling import sample_chow, sample_ring
-from chloc.series import compute_at_precision
+from chloc.series import (
+    ScalarSeries,
+    compute_at_precision,
+    scalar_exp,
+    scalar_invert,
+    scalar_mul,
+    scalar_pow,
+)
 
 from oracles import (
+    laurent_exp,
+    laurent_inv,
+    laurent_mul,
+    laurent_pow,
     nilpotent_power_sum,
     poly_add,
     poly_mul,
@@ -342,3 +353,46 @@ def test_invert_matches_power_sum_oracle():
         assert {e: got.coefficient(e) for e in got.exponents()} == {
             e: expected.coefficient(e) for e in expected.exponents() if e <= got.q_max
         }
+
+
+# -- the integer scalar kernels against the Fraction oracles ------------------------------
+
+
+def _row(rng, exponents) -> dict[int, F]:
+    """Negative, non-integral and zero rationals at some of the exponents."""
+    picked = rng.sample(exponents, rng.randint(0, min(5, len(exponents))))
+    return {e: F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7])) for e in picked}
+
+
+def _is_canonical(s: ScalarSeries) -> bool:
+    return s.den > 0 and all(s.num.values()) and (not s.num or gcd(s.den, *s.num.values()) == 1)
+
+
+def test_scalar_kernels_match_fraction_oracles():
+    rng = Random(1313)
+    zero = ScalarSeries.of({})
+    for trial in range(300):
+        a, b = _row(rng, range(-3, 7)), _row(rng, range(-3, 7))
+        cutoff = 0 if trial % 5 == 0 else rng.randint(-2, 12)
+        sa, sb = ScalarSeries.of(a), ScalarSeries.of(b)
+        a = {e: c for e, c in a.items() if c}
+        assert dict(sa) == a and _is_canonical(sa)
+        for cut in (cutoff, None):
+            got = scalar_mul(sa, sb, cut)
+            assert dict(got) == laurent_mul(a, b, cut) and _is_canonical(got)
+        n = rng.randint(0, 4)
+        got = scalar_pow(sa, n, cutoff)
+        assert dict(got) == laurent_pow(a, n, cutoff) and _is_canonical(got)
+        positive = {e: c for e, c in a.items() if e > 0}
+        got = scalar_exp(ScalarSeries.of(positive), cutoff)
+        assert dict(got) == laurent_exp(positive, max(cutoff, 0)) and _is_canonical(got)
+        if a:  # a lowest exponent above 0 puts poles in the inverse
+            got = scalar_invert(sa, cutoff)
+            assert dict(got) == laurent_inv(a, cutoff) and _is_canonical(got)
+    assert scalar_mul(zero, ScalarSeries.of({1: F(1, 2)}), 4) == zero
+    assert dict(scalar_exp(zero, 5)) == {0: 1} and dict(scalar_pow(zero, 0, 3)) == {0: 1}
+    assert scalar_pow(zero, 2, 3) == zero
+    with pytest.raises(ZeroDivisionError):
+        scalar_invert(zero, 3)
+    with pytest.raises(ValueError):
+        scalar_exp(ScalarSeries.of({0: 1}), 3)
