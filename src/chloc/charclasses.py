@@ -51,7 +51,7 @@ from math import comb, factorial, lcm, prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .rings import ChowElement, Ring, multiply_accumulate
+from .rings import ChowElement, Ring, common_den
 from .series import (
     Part,
     QSeries,
@@ -128,7 +128,7 @@ def _stirling_rows(u: ScalarSeries, D: int, cutoff: int | None) -> dict[int, Sca
     rows = {}
     for l in range(1, D + 1):
         b = bernoulli(l) / l
-        den = lcm(b.denominator, *(p.den for p in powers[1 : l + 1]))
+        den = lcm(b.denominator, common_den(p.den for p in powers[1 : l + 1]))
         num = {0: -b.numerator * (den // b.denominator)}
         for k in range(1, l + 1):
             f = (-1) ** (l + 1) * factorial(k - 1) * stirling2(l, k) * (den // powers[k].den)
@@ -242,8 +242,8 @@ def _argument(
     """sum over (x, table) of sum_l phi_l(q) * Ch_l(x), with Ch_0 = rank,
     dropping exponents above q_max, as its scalar part (the rank rows) and
     its nonzero Chow-degree-l parts (the rows phi_l against Ch_l), in the
-    form the graded exp takes.  Each part is one integer accumulate over
-    (exponent, monomial) on one denominator, reading the rows' numerators."""
+    form the graded exp takes.  Each part is one integer accumulate
+    acc[e][i] += f * v * a of row and Chow numerators on one denominator."""
     by_degree: dict[int, list[tuple[ScalarSeries, ChowElement]]] = {}
     for x, table in terms:
         if x.ring != ring:
@@ -254,12 +254,15 @@ def _argument(
                 by_degree.setdefault(l, []).append((phi, c))
     parts: dict[int, Part] = {}
     for l, items in by_degree.items():
-        den = lcm(*(phi.den * c._den for phi, c in items))
+        den = common_den(phi.den * c._den for phi, c in items)
         acc: dict[int, dict[int, int]] = {}
         for phi, c in items:
-            rows = {e: {0: v} for e, v in phi.num.items()}
             f = den // (phi.den * c._den)
-            multiply_accumulate(ring._mono, acc, rows, {0: c._num}, f, q_max)
+            for e, v in phi.num.items():
+                if q_max is None or e <= q_max:
+                    out, fv = acc.setdefault(e, {}), f * v
+                    for i, a in c._num.items():
+                        out[i] = out.get(i, 0) + fv * a
         acc = {e: nz for e, row in acc.items() if (nz := {i: v for i, v in row.items() if v})}
         if acc:
             parts[l] = (acc, den)

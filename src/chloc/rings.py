@@ -36,7 +36,7 @@ import re
 import threading
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 Scalar = int | Fraction
@@ -107,6 +107,15 @@ def _exact(c) -> Scalar:
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
     return c
+
+
+def common_den(dens: Iterable[int]) -> int:
+    """The lcm, pairwise: ``lcm(*generator)`` resizes its argument tuple, which
+    moves tuples between CPython's per-size free lists and grows the heap."""
+    den = 1
+    for d in dens:
+        den = lcm(den, d)
+    return den
 
 
 def multiply_accumulate(table: _Monomials, acc: dict, x: dict, y: dict, f: int = 1,
@@ -238,7 +247,7 @@ class Ring:
             if c:
                 i = self._mono.intern(mono, d)
                 acc[i] = acc.get(i, 0) + c
-        den = lcm(*(c.denominator for c in acc.values()))
+        den = common_den(c.denominator for c in acc.values())
         return ChowElement._reduced(
             self, {i: c.numerator * (den // c.denominator) for i, c in acc.items()}, den
         )
@@ -335,11 +344,14 @@ class ChowElement:
 
     def graded_parts(self) -> dict[int, "ChowElement"]:
         """The nonzero homogeneous parts, keyed by degree, in one pass."""
+        return {d: self._reduced(self.ring, n, self._den) for d, n in self._graded_num().items()}
+
+    def _graded_num(self) -> dict[int, dict[int, int]]:
         deg = self.ring._mono.degree
         split: dict[int, dict[int, int]] = {}
         for i, v in self._num.items():
             split.setdefault(deg[i], {})[i] = v
-        return {d: ChowElement._reduced(self.ring, num, self._den) for d, num in split.items()}
+        return split
 
     def is_homogeneous(self, degree: int) -> bool:
         deg = self.ring._mono.degree

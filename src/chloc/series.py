@@ -53,10 +53,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from math import factorial, gcd, lcm, perm
+from math import factorial, gcd, perm
 from typing import Callable
 
-from .rings import ChowElement, Ring, Scalar, _exact, multiply_accumulate
+from .rings import ChowElement, Ring, Scalar, _exact, common_den, multiply_accumulate
 
 # Chow-valued numerators {exponent: {monomial index: numerator}} over one
 # positive denominator.
@@ -91,7 +91,7 @@ class ScalarSeries(Mapping):
         """The series of exact rationals given by exponent."""
         items = terms.items() if isinstance(terms, Mapping) else terms
         terms = [(e, _exact(c)) for e, c in items]
-        den = lcm(*(c.denominator for _, c in terms))
+        den = common_den(c.denominator for _, c in terms)
         num: dict[int, int] = {}
         for e, c in terms:
             num[e] = num.get(e, 0) + c.numerator * (den // c.denominator)
@@ -420,7 +420,7 @@ class QSeries:
 
 def _lift(coeffs: dict[int, ChowElement]) -> Part:
     """Chow coefficients by exponent brought to one denominator."""
-    den = lcm(*(c._den for c in coeffs.values()))
+    den = common_den(c._den for c in coeffs.values())
     return {
         e: c._num if c._den == den else {i: v * (den // c._den) for i, v in c._num.items()}
         for e, c in coeffs.items()
@@ -485,12 +485,12 @@ def _graded_series(ring: Ring, first: ScalarSeries, parts: dict[int, Part], cuto
     for d in range(1, ring.truncation + 1):
         terms = [(j, parts[j], graded[d - j]) for j in range(1, d + 1)
                  if j in parts and graded[d - j][0]]
-        den = lcm(*(a[1] * b[1] for _, a, b in terms))
+        den = common_den(a[1] * b[1] for _, a, b in terms)
         acc: dict[int, dict[int, int]] = {}
         for j, (a, da), (b, db) in terms:
             multiply_accumulate(table, acc, a, b, (j if exp else 1) * (den // (da * db)), cutoff)
         graded.append((acc, den * d if exp else den))
-    den = lcm(*(d for num, d in graded if num))
+    den = common_den(d for num, d in graded if num)
     merged: dict[int, dict[int, int]] = {}
     for num, d in graded:
         f = den // d

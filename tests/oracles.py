@@ -14,6 +14,9 @@ cross-multiplication, never using the factored form of
 ``chloc.ifunction``.  The symmetry-group oracle
 back-substitutes ``Fraction`` exponents from the last variable and sorts,
 where ``chloc.chains`` walks integer numerators forward from the first.
+The span oracle row-reduces ``{exponent tuple: Fraction}`` maps with a
+greedy ``Fraction`` echelon, where ``chloc.localize`` runs fraction-free
+elimination on integer rows keyed by monomial index.
 """
 
 from __future__ import annotations
@@ -299,3 +302,55 @@ def symmetry_group_back_substitution(exponents) -> list[SymmetryElement]:
                 nxt.append(((base + m) / a,) + tail)
         partial = nxt
     return sorted(SymmetryElement(t) for t in partial)
+
+
+def span_row_reduce(vectors: list[dict]) -> list[tuple[object, dict]]:
+    """Greedy row echelon form over ``Fraction`` of sparse
+    ``{exponent tuple: Fraction}`` rows, each normalized to 1 at its pivot,
+    the smallest exponent tuple."""
+    rows: list[tuple[object, dict]] = []
+    for vec in vectors:
+        v = span_reduce_against(dict(vec), rows)
+        if v:
+            pivot = min(v)
+            c = v[pivot]
+            rows.append((pivot, {m: x / c for m, x in v.items()}))
+    return rows
+
+
+def span_reduce_against(v: dict, rows: list[tuple[object, dict]]) -> dict:
+    """v minus its multiples of ``rows`` at their pivots, in place."""
+    for pivot, row in rows:
+        c = v.get(pivot)
+        if c:
+            for m, x in row.items():
+                s = v.get(m, Fraction(0)) - c * x
+                if s:
+                    v[m] = s
+                elif m in v:
+                    del v[m]
+    return v
+
+
+def spans_contained(tag: str, neg_src, neg_dst, max_degree: int, failures: list) -> bool:
+    """Whether, in each Chow degree d <= max_degree, the degree-d part of
+    every relation in ``neg_src`` lies in the rational span of the
+    degree-d parts in ``neg_dst``; appends (tag, exponent, d) for each one
+    that does not.  The relations are (exponent, ChowElement) pairs, read
+    through their public ``items()`` as exponent tuple -> Fraction."""
+    def parts(c):
+        out: dict = {}
+        for m, x in c.items():
+            out.setdefault(sum(e * g for e, g in zip(m, c.ring.degrees)), {})[m] = x
+        return out
+
+    ok = True
+    dst = [parts(c) for _, c in neg_dst]
+    src = [(e, parts(c)) for e, c in neg_src]
+    for d in range(max_degree + 1):
+        rows = span_row_reduce([p[d] for p in dst if d in p])
+        for e, p in src:
+            if d in p and span_reduce_against(dict(p[d]), rows):
+                failures.append((tag, e, d))
+                ok = False
+    return ok
