@@ -27,6 +27,15 @@ is checked in this form: the rank factors on the right multiply to
 (1-e^{-kq})^rank (kq/(1-e^{-kq}))^rank = (kq)^rank, so the right side is
 (kq)^rank times one exp of the Hirzebruch and twist arguments.
 
+Every product of weighted classes (x, k) goes through one entry,
+:func:`_weighted_product`, which takes four factor kinds: Euler classes
+e_{kq}(x), Hirzebruch classes c_{exp(-kq)}(x), equivariant Todd classes
+Td(x (x) O(kq)) and twist ratios Td(x (x) O(kq))/Td(x).  Only the Euler
+and Hirzebruch kinds carry the rank factor (kq)^rank, so only they need a
+nonzero weight.  A product of Euler classes alone is an exact Laurent
+polynomial; given a ``target`` order, the entry picks the working order
+at which the product is reliable up to q^target.
+
 Each row phi_l is a :class:`~chloc.series.ScalarSeries` (integer numerators
 over one denominator), built on the integer scalar kernels.  At t = exp(-kq)
 the Hirzebruch table needs no series t: its u = t/(1-t) is 1/(e^{kq}-1) =
@@ -49,7 +58,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .rings import ChowElement, Ring, common_den
 from .series import (
@@ -65,10 +74,10 @@ from .series import (
 
 # l -> phi_l, the scalar Laurent series multiplying Ch_l (Ch_0 is the rank)
 Table = Mapping[int, ScalarSeries]
-# Tables kept per memoised table builder.  Distinct (k, D, order[, first])
-# keys per process: 11-13 in each benchmark workload, 145 (acceptance
-# criterion 1) and 165 (criterion 7), and 326 t = exp(-kq) tables and 433
-# Todd and twist tables for the whole test suite; a table is about 6 KB.
+# Tables kept per memoised table builder.  Distinct keys in one process: at
+# most 15 Euler, 27 Todd and twist and 23 t = exp(-kq) tables per benchmark
+# workload (seeds 1-3), 36, 440 and 329 for the whole test suite (145 and 165
+# of the last two for acceptance criteria 1 and 7); a table is about 6 KB.
 _TABLE_CACHE = 1024
 
 
@@ -160,7 +169,7 @@ def hirzebruch_coefficient(l: int, t):
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
-def _euler_table(weight: int, D: int, order: int | None = None) -> Table:
+def _euler_table(weight: int, D: int) -> Table:
     """e_{kq}: phi_l = -(l-1)!/(-k q)^l, exact at every order.  Memoised,
     read-only."""
     return MappingProxyType({
@@ -217,25 +226,6 @@ def _exp_hirzebruch_table(weight: int, D: int, order: int) -> Table:
     return MappingProxyType(table)
 
 
-def _euler_rank(weighted: Iterable[tuple["KClass", int]]) -> ScalarSeries:
-    """prod (k q)^rank, the rank factor of a product of Euler classes."""
-    weighted = list(weighted)
-    if any(int(k) == 0 for _, k in weighted):
-        raise ValueError("equivariant weight must be nonzero")
-    rho = sum(x.rank for x, _ in weighted)
-    return ScalarSeries.of({rho: prod(Fraction(k) ** x.rank for x, k in weighted)})
-
-
-def _by_weight(weighted: Iterable[tuple["KClass", int]]) -> dict[int, "KClass"]:
-    """The sum of the classes of each weight: a log-linear argument is
-    additive in the class."""
-    out: dict[int, KClass] = {}
-    for x, k in weighted:
-        k = int(k)
-        out[k] = out[k] + x if k in out else x
-    return out
-
-
 def _argument(
     ring: Ring, terms: Iterable[tuple["KClass", Table]], q_max: int | None = None
 ) -> tuple[ScalarSeries, dict[int, Part]]:
@@ -243,7 +233,8 @@ def _argument(
     dropping exponents above q_max, as its scalar part (the rank rows) and
     its nonzero Chow-degree-l parts (the rows phi_l against Ch_l), in the
     form the graded exp takes.  Each part is one integer accumulate
-    acc[e][i] += f * v * a of row and Chow numerators on one denominator."""
+    acc[e][i] += f * v * a of row and Chow numerators on one denominator,
+    each class against its own table: the argument is additive in x."""
     by_degree: dict[int, list[tuple[ScalarSeries, ChowElement]]] = {}
     for x, table in terms:
         if x.ring != ring:
@@ -280,38 +271,47 @@ def _log_linear(ring: Ring, terms: Iterable[tuple["KClass", Table]], q_max: int 
     return _exp(ring, *_argument(ring, terms, q_max), q_max, order, rank)
 
 
-def _euler_product(ring: Ring, weighted: list[tuple["KClass", int]]) -> QSeries:
-    """prod e_{kq}(x) over weighted classes, exact: prod (kq)^rank times
-    one exp of the Euler arguments, the classes of each weight merged."""
-    rank = _euler_rank(weighted)
-    merged = _by_weight(weighted)
-    return _log_linear(
-        ring, [(x, _euler_table(k, ring.truncation)) for k, x in merged.items()], rank=rank
-    )
-
-
-def _log_linear_to(
+def _weighted_product(
     ring: Ring,
-    weighted: list[tuple["KClass", int]],
-    terms: list[tuple["KClass", int, Callable[..., Table]]],
-    target: int,
+    target: int | None = None,
+    *,
+    euler: Sequence[tuple["KClass", int]] = (),
+    hirzebruch: Sequence[tuple["KClass", int]] = (),
+    todd: Sequence[tuple["KClass", int]] = (),
+    twist: Sequence[tuple["KClass", int]] = (),
 ) -> QSeries:
-    """The rank factor prod (kq)^rank over ``weighted`` times exp(sum over
-    (x, k, table) of the argument of x in table(k, D, order)), reliable up
-    to ``target``.
+    """The product over weighted classes (x, k) of e_{kq}(x) for ``euler``,
+    c_{exp(-kq)}(x) for ``hirzebruch``, Td(x (x) O(kq)) for ``todd`` and
+    Td(x (x) O(kq))/Td(x) for ``twist``: prod (kq)^rank over the Euler and
+    Hirzebruch classes (weight 0 is rejected) times one exp of the summed
+    arguments.  With no ``target`` the product is exact, which only Euler
+    classes allow; otherwise it is reliable up to q^target.
 
     This is where every working order comes from.  The rank factor is
     c q^rho, so the exp must be reliable to target - rho; exp loses D + 1
     orders below its poles, so each table is built to target - rho + D + 1.
     """
     D = ring.truncation
-    rank = _euler_rank(weighted)
-    (rho,) = rank
+    ranked = [(x.rank, int(k)) for x, k in [*euler, *hirzebruch]]
+    if any(k == 0 for _, k in ranked):
+        raise ValueError("equivariant weight must be nonzero")
+    rho = sum(r for r, _ in ranked)
+    num = prod(k**r for r, k in ranked if r > 0)
+    den = prod(k**-r for r, k in ranked if r < 0)
+    rank = ScalarSeries.reduced({rho: num}, den)
 
-    def at(order: int) -> QSeries:
-        args = [(x, table(k, D, order)) for x, k, table in terms]
-        return _log_linear(ring, args, order, target - rho, rank)
+    def at(order: int | None) -> QSeries:
+        terms = [(x, _euler_table(int(k), D)) for x, k in euler]
+        if order is not None:
+            terms += [(x, _exp_hirzebruch_table(int(k), D, order)) for x, k in hirzebruch]
+            terms += [(x, _todd_table(int(k), D, order)) for x, k in todd]
+            terms += [(x, _twist_table(int(k), D, order)) for x, k in twist]
+        return _log_linear(ring, terms, order, None if order is None else target - rho, rank)
 
+    if target is None:
+        if hirzebruch or todd or twist:
+            raise ValueError("only a product of Euler classes is exact")
+        return at(None)
     return compute_at_precision(at, target, D + 1 - rho)
 
 
@@ -464,7 +464,7 @@ def equivariant_euler(x: KClass, weight: int) -> QSeries:
     An exact Laurent polynomial; on a bundle with roots a_i it equals
     prod_i (k q + a_i), and it is multiplicative in x.
     """
-    return _euler_product(x.ring, [(x, weight)])
+    return _weighted_product(x.ring, euler=[(x, weight)])
 
 
 def todd_twist_ratio(x: KClass, weight: int, q_max: int | None = None) -> QSeries:
@@ -478,11 +478,9 @@ def todd_twist_ratio(x: KClass, weight: int, q_max: int | None = None) -> QSerie
     """
     ring = x.ring
     target = ring.q_max if q_max is None else int(q_max)
-    weight = int(weight)
-    if weight == 0 or target < 1:
+    if target < 1:
         return QSeries.one(ring).truncated(max(target, 0))
-    table = _twist_table(weight, ring.truncation, target)
-    return _log_linear(ring, [(x, table)], target, target)
+    return _weighted_product(ring, target, twist=[(x, weight)])
 
 
 @dataclass(frozen=True)
@@ -504,11 +502,9 @@ def euler_identity_check(
     The right side is (kq)^rank * exp(A + B) for the Hirzebruch argument A
     at t = exp(-kq) and the twist argument B, whose rank rows cancel: the
     two rank factors multiply to (kq)^rank exactly."""
-    weight = int(weight)
     ring = x.ring
     target = ring.q_max if q_max is None else int(q_max)
     lhs = equivariant_euler(x, weight)
-    terms = [(x, weight, _exp_hirzebruch_table), (x, weight, _twist_table)]
-    rhs = _log_linear_to(ring, [(x, weight)], terms, target)
+    rhs = _weighted_product(ring, target, hirzebruch=[(x, weight)], twist=[(x, weight)])
     diff = (lhs - rhs).truncated(target)
     return IdentityCheck(equal=diff.is_zero, lhs=lhs, rhs=rhs, difference=diff)

@@ -10,10 +10,7 @@ Exit codes: 0 when every check passes, 1 for usage or input/schema errors,
 2 when the computation completed but reported a mathematical failure
 (non-convergence, a failed identity, a failed Picard-Fuchs coefficient).
 
-Reports are byte-deterministic for identical inputs.  The environment
-variable ``CHLOC_Q_MAX`` overrides the default series truncation order for
-``classes`` jobs (a ``--q-max`` flag or a ``q_max`` entry in the job file
-takes precedence).
+Reports are byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from random import Random
 
@@ -160,21 +156,12 @@ def _build_ring(doc: dict, q_max_flag: int | None) -> Ring:
         "chow.truncation",
         "must be a non-negative integer",
     )
-    if q_max_flag is not None:
-        q_max = q_max_flag
-    elif "q_max" in chow:
+    q_max = q_max_flag
+    if q_max is None and "q_max" in chow:
         q_max = chow["q_max"]
         _require(
             _is_int(q_max) and q_max >= 0, "chow.q_max", "must be a non-negative integer"
         )
-    elif os.environ.get("CHLOC_Q_MAX"):
-        try:
-            q_max = int(os.environ["CHLOC_Q_MAX"])
-        except ValueError:
-            q_max = -1
-        _require(q_max >= 0, "$", "CHLOC_Q_MAX must be a non-negative integer")
-    else:
-        q_max = None
     try:
         return Ring(pairs, trunc, q_max)
     except ValueError as exc:

@@ -14,19 +14,18 @@ q -> 0 limit when there are none.
     e_{-k_E q}(E) * e(V) / e(N) * Td_q(T) / Td_q(V),
 
 where each of V, T, N is a list of weighted classes and the equivariant
-Todd class of a weighted class is Td(x (x) O(kq)).  Every factor is
-log-linear (see :mod:`chloc.charclasses`), so the product is
-prod (kq)^rank times one exp: e(N)^-1 = e(-N) exactly, and
-Td_q(T)/Td_q(V) = exp(sum_T L_k - sum_V L_k) for the Todd arguments L_k,
-which cancel exactly on the chain specialization T = V = (+)B_j,
+Todd class of a weighted class is Td(x (x) O(kq)).  Each product here is
+one weighted product of :mod:`chloc.charclasses`, which forms its factors
+and working order: e(N)^-1 = e(-N) exactly, and the Todd classes of T and
+-V cancel exactly on the chain specialization T = V = (+)B_j,
 N = (+)A_j.  That specialization reproduces ``hodge_product`` applied to
 R_j = A_j - B_j.
 
 :func:`tautological_crosscheck` compares the Euler-class side against the
-Hirzebruch-class side at t = exp(-q), each one exp of summed arguments:
-whether the sides converge together, have the same limit, and whether each
-side's negative coefficients lie in the span of the other's degree by degree,
-on any ring (a test stricter than comparing the ideals they generate).
+Hirzebruch-class side at t = exp(-q): whether the sides converge together,
+have the same limit, and whether each side's negative coefficients lie in
+the span of the other's degree by degree, on any ring (a test stricter
+than comparing the ideals they generate).
 """
 
 from __future__ import annotations
@@ -35,15 +34,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .chains import ChainData, weight_sequence
-from .charclasses import (
-    KClass,
-    _by_weight,
-    _euler_product,
-    _euler_table,
-    _exp_hirzebruch_table,
-    _log_linear_to,
-    _todd_table,
-)
+from .charclasses import KClass, _weighted_product
 from .rings import ChowElement, Ring
 from .series import QSeries
 
@@ -132,7 +123,7 @@ def _factors(inp: LocInput) -> list[WeightedClass]:
 
 def hodge_product(inp: LocInput) -> LocResult:
     """The exact Laurent product e_{-k_E q}(E) * prod_j e_{k_j q}(-R_j)."""
-    return LocResult.from_series(_euler_product(inp.ring, _factors(inp)))
+    return LocResult.from_series(_weighted_product(inp.ring, euler=_factors(inp)))
 
 
 def localization_product(
@@ -146,21 +137,15 @@ def localization_product(
     """General fixed-locus product with explicit bundle data.
 
     ``v`` and ``t`` enter through equivariant Euler and Todd factors, ``n``
-    (the normal data) through an inverted Euler factor.  The argument of
-    the single exp holds the Euler arguments of E, V and -N, and for each
-    weight the Todd argument of the T classes minus the V classes of that
-    weight, which is absent when T = V.
+    (the normal data) through an inverted Euler factor: one weighted
+    product of the Euler classes E, V and -N and the Todd classes T and -V,
+    whose Todd arguments cancel when T = V.
     """
     ring = hodge.ring
-    if hodge_weight == 0:
-        raise ValueError("weights must be nonzero")
     target = ring.q_max if q_max is None else int(q_max)
-    euler = [(hodge, -hodge_weight)] + list(v) + [(-x, k) for x, k in n]
-    todd_terms = _by_weight(list(t) + [(-x, k) for x, k in v])
-    terms = [(x, k, _euler_table) for x, k in euler]
-    terms += [(x, k, _todd_table) for k, x in todd_terms.items() if x != KClass.zero(ring)]
-    series = _log_linear_to(ring, euler, terms, target)
-    return LocResult.from_series(series)
+    euler = [(hodge, -hodge_weight), *v, *((-x, k) for x, k in n)]
+    todd = [*t, *((-x, k) for x, k in v)]
+    return LocResult.from_series(_weighted_product(ring, target, euler=euler, todd=todd))
 
 
 def chain_specialization(
@@ -232,9 +217,8 @@ def crosscheck_factors(
     target = ring.q_max if q_max is None else int(q_max)
     D = ring.truncation
     # both sides have the rank factor prod (kq)^rank
-    side_a = _euler_product(ring, factors)
-    terms = [(x, k, _exp_hirzebruch_table) for k, x in _by_weight(factors).items()]
-    side_b = _log_linear_to(ring, factors, terms, target)
+    side_a = _weighted_product(ring, euler=factors)
+    side_b = _weighted_product(ring, target, hirzebruch=factors)
 
     neg_a = side_a.negative_part()
     neg_b = side_b.negative_part()

@@ -37,23 +37,23 @@ def sample_kclass(
     ring: Ring,
     rank_min: int = -3,
     rank_max: int = 4,
-    sparsity: float = 0.3,
 ) -> KClass:
-    """A random virtual bundle: integer rank and sparse Chern characters."""
+    """A random virtual bundle: integer rank and Chern characters, each zero
+    with probability 0.3."""
     ch = []
     for l in range(1, ring.truncation + 1):
-        if rng.random() < sparsity:
+        if rng.random() < 0.3:
             ch.append(ring.zero())
         else:
             ch.append(sample_chow(rng, ring, l))
     return KClass(ring, rng.randint(rank_min, rank_max), ch)
 
 
-def sample_weight(rng: Random, bound: int = 3) -> int:
-    """A nonzero integer weight in [-bound, bound]."""
+def sample_weight(rng: Random) -> int:
+    """A nonzero integer weight in [-3, 3]."""
     w = 0
     while w == 0:
-        w = rng.randint(-bound, bound)
+        w = rng.randint(-3, 3)
     return w
 
 

@@ -17,7 +17,6 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def run_cli(*args, env_extra=None, cwd=None):
     env = dict(os.environ)
-    env.pop("CHLOC_Q_MAX", None)
     env["PYTHONPATH"] = child_pythonpath(env.get("PYTHONPATH"))
     if env_extra:
         env.update(env_extra)
@@ -135,22 +134,23 @@ def test_unresolved_name_exit_1(tmp_path):
     assert b"unresolved" in proc.stderr
 
 
-def test_env_q_max_override(tmp_path):
+def test_q_max_sources(tmp_path):
     doc = (
-        '{"chow": {"generators": [{"name": "x", "degree": 1}], "truncation": 1},'
+        '{"chow": {"generators": [{"name": "x", "degree": 1}], "truncation": 1%s},'
         ' "classes": [], "job": {"hodge": null, "hodge_weight": 1, "pushed": []}}'
     )
-    f = tmp_path / "job.json"
-    f.write_text(doc)
-    base = run_cli("classes", "hodge", "--job", str(f))
-    assert b"q_max: 4" in base.stdout
-    env = run_cli("classes", "hodge", "--job", str(f), env_extra={"CHLOC_Q_MAX": "9"})
-    assert b"q_max: 9" in env.stdout
-    flag = run_cli(
-        "classes", "hodge", "--job", str(f), "--q-max", "11",
-        env_extra={"CHLOC_Q_MAX": "9"},
-    )
-    assert b"q_max: 11" in flag.stdout  # the flag wins over the environment
+    plain, with_q = tmp_path / "plain.json", tmp_path / "with_q.json"
+    plain.write_text(doc % "")
+    with_q.write_text(doc % ', "q_max": 6')
+    base = run_cli("classes", "hodge", "--job", str(plain))
+    assert b"q_max: 4" in base.stdout  # the default 2*truncation+2
+    job = run_cli("classes", "hodge", "--job", str(with_q))
+    assert b"q_max: 6" in job.stdout
+    flag = run_cli("classes", "hodge", "--job", str(with_q), "--q-max", "11")
+    assert b"q_max: 11" in flag.stdout  # the flag wins over the job file
+    # the environment is no source of q_max
+    env = run_cli("classes", "hodge", "--job", str(plain), env_extra={"CHLOC_Q_MAX": "9"})
+    assert env.stdout == base.stdout
 
 
 def test_relation_output_reparses():
@@ -190,13 +190,6 @@ def test_negative_job_q_max_exit_1(tmp_path):
         ' "classes": [], "job": {"hodge": null, "hodge_weight": 1, "pushed": []}}'
     )
     _assert_usage_error(run_cli("classes", "hodge", "--job", str(f)), b"chow.q_max")
-
-
-def test_negative_env_q_max_exit_1():
-    proc = run_cli(
-        "classes", "general", "--job", "job_general.json", env_extra={"CHLOC_Q_MAX": "-4"}
-    )
-    _assert_usage_error(proc, b"CHLOC_Q_MAX")
 
 
 def test_non_list_pairs_exit_1(tmp_path):
@@ -313,9 +306,8 @@ _BOOL_CASES = [
 
 
 @pytest.mark.parametrize("mode,job,path", _BOOL_CASES, ids=[c[2] for c in _BOOL_CASES])
-def test_boolean_integer_field_exit_1(tmp_path, monkeypatch, capsys, mode, job, path):
+def test_boolean_integer_field_exit_1(tmp_path, capsys, mode, job, path):
     # JSON true is a bool, not an integer, even though Python's bool is an int
-    monkeypatch.delenv("CHLOC_Q_MAX", raising=False)
     doc = json.loads(json.dumps({**_BOOL_BASE, "job": job}))
     f = tmp_path / "job.json"
     f.write_text(json.dumps(doc))
@@ -412,7 +404,6 @@ def test_fuzzed_golden_jobs_exit_cleanly(tmp_path):
         mode = job.stem.split("_")[1] if rng.random() < 0.8 else rng.choice(modes)
         runs.append(["classes", mode, "--job", str(f)])
     env = dict(os.environ, PYTHONPATH=child_pythonpath(os.environ.get("PYTHONPATH")))
-    env.pop("CHLOC_Q_MAX", None)
     proc = subprocess.run(
         [sys.executable, "-c", _FUZZ_RUNNER],
         input=json.dumps(runs).encode(), capture_output=True, env=env, cwd=GOLDEN,

@@ -21,7 +21,6 @@ def test_demo_stdout_is_golden(demo):
     # each demo runs as a child process; its stdout must match the golden
     # byte for byte and it must write nothing to stderr
     env = dict(os.environ)
-    env.pop("CHLOC_Q_MAX", None)
     env["PYTHONPATH"] = child_pythonpath(env.get("PYTHONPATH"))
     proc = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, env=env, cwd=ROOT, timeout=120

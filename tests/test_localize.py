@@ -93,6 +93,22 @@ def test_loc_input_validation():
     assert inp.hodge_weight == weight_sequence(chain)[3] == -12
 
 
+def test_zero_weights_in_weighted_lists_are_rejected():
+    # E, V and N enter through Euler classes, whose rank factor (kq)^rank
+    # needs k != 0; T enters through Todd classes, where k = 0 is plain Td
+    r, x = _line_setup()
+    h, y = line_bundle(x), line_bundle(2 * x)
+    with pytest.raises(ValueError):
+        localization_product(h, 1, v=[(y, 0)], t=[], n=[])
+    with pytest.raises(ValueError):
+        localization_product(h, 1, v=[], t=[], n=[(y, 0)])
+    with pytest.raises(ValueError):
+        localization_product(h, 0, v=[], t=[], n=[])
+    with pytest.raises(ValueError):
+        crosscheck_factors(r, [(y, 0)])
+    assert localization_product(h, 1, v=[], t=[(y, 0)], n=[]).series.q_max == r.q_max
+
+
 def test_localization_product_smoke():
     r, _ = _line_setup()
     res = localization_product(
