@@ -37,13 +37,15 @@ polynomial; given a ``target`` order, the entry picks the working order
 at which the product is reliable up to q^target.
 
 Each row phi_l is a :class:`~chloc.series.ScalarSeries` (integer numerators
-over one denominator), built on the integer scalar kernels.  At t = exp(-kq)
-the Hirzebruch table needs no series t: its u = t/(1-t) is 1/(e^{kq}-1) =
-sum_n B_n(0) k^{n-1} q^{n-1}/n!, taken up to q^{order+D+1} and fed to the
-same Stirling sum as for any other t.  The tables depend only on integers
-such as (k, D, order), so each is built once and memoised (bounded caches,
-filled on first use) as a read-only mapping of immutable rows.  Ch_l is
-homogeneous of degree l, so sum_x phi_l^x(q) Ch_l(x) is the Chow-degree-l
+over one denominator), built on the integer scalar kernels.  At weight k a
+row is the weight-1 row with q -> kq (k^e times its coefficient at q^e), so
+each kind keeps one store of weight-1 rows, built on first use and rebuilt
+when a call needs a larger D or order (row l does not depend on D, and a
+row at a lower order is a prefix of one at a higher order); k enters only
+the accumulate of the argument.  At t = exp(-q) the Hirzebruch rows need no
+series t: u = t/(1-t) = 1/(e^q-1) = sum_n B_n(0) q^{n-1}/n!, taken up to
+q^{order+D+1} and fed to the same Stirling sum as for any other t.  Ch_l is
+homogeneous of degree l, so sum_x phi_l^x(kq) Ch_l(x) is the Chow-degree-l
 part of a summed argument, one integer accumulate handed to the graded exp
 of :mod:`chloc.series` with no split into degrees.
 
@@ -55,10 +57,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, lcm, prod
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache, partial
+from math import comb, factorial, inf, lcm, prod
+from typing import Callable, Iterable, Sequence
 
 from .rings import ChowElement, Ring, common_den
 from .series import (
@@ -72,13 +73,10 @@ from .series import (
     scalar_pow,
 )
 
-# l -> phi_l, the scalar Laurent series multiplying Ch_l (Ch_0 is the rank)
-Table = Mapping[int, ScalarSeries]
-# Tables kept per memoised table builder.  Distinct keys in one process: at
-# most 15 Euler, 27 Todd and twist and 23 t = exp(-kq) tables per benchmark
-# workload (seeds 1-3), 36, 440 and 329 for the whole test suite (145 and 165
-# of the last two for acceptance criteria 1 and 7); a table is about 6 KB.
-_TABLE_CACHE = 1024
+# phi_0..phi_D, the scalar series multiplying Ch_l (Ch_0 = rank), ascending
+Rows = tuple[ScalarSeries, ...]
+
+_ZERO = ScalarSeries({})
 
 
 @lru_cache(maxsize=None)
@@ -105,7 +103,7 @@ def stirling2(l: int, k: int) -> int:
     return k * stirling2(l - 1, k) + stirling2(l - 1, k - 1)
 
 
-def _hirzebruch_table(t, D: int) -> tuple[Table, int | None, ScalarSeries]:
+def _hirzebruch_table(t, D: int) -> tuple[Rows, int | None, ScalarSeries]:
     """c_t: phi_l = -s_l(t) (see :func:`hirzebruch_coefficient`) through the
     powers of u = t/(1-t); the order it is reliable to (None for rational
     t); and 1 - t, the root of the rank factor."""
@@ -127,14 +125,14 @@ def _hirzebruch_table(t, D: int) -> tuple[Table, int | None, ScalarSeries]:
     return _stirling_rows(u, D, order), valid, one_minus
 
 
-def _stirling_rows(u: ScalarSeries, D: int, cutoff: int | None) -> dict[int, ScalarSeries]:
-    """phi_l = -s_l(t) for l = 1..D, each on one denominator, from the
-    powers of u = t/(1-t) cut at q^cutoff:
+def _stirling_rows(u: ScalarSeries, D: int, cutoff: int | None) -> Rows:
+    """phi_0 = 0 and phi_l = -s_l(t) for l = 1..D, each on one denominator in
+    ascending exponent order, from the powers of u = t/(1-t) cut at q^cutoff:
     s_l(t) = B_l(0)/l + (-1)^l sum_{k=1}^{l} (k-1)! S(l, k) u^k."""
     powers = [ScalarSeries({0: 1}), u]
     for k in range(2, D + 1):
         powers.append(scalar_mul(powers[k - 1], u, cutoff))
-    rows = {}
+    rows = [_ZERO]
     for l in range(1, D + 1):
         b = bernoulli(l) / l
         den = lcm(b.denominator, common_den(p.den for p in powers[1 : l + 1]))
@@ -143,8 +141,8 @@ def _stirling_rows(u: ScalarSeries, D: int, cutoff: int | None) -> dict[int, Sca
             f = (-1) ** (l + 1) * factorial(k - 1) * stirling2(l, k) * (den // powers[k].den)
             for e, v in powers[k].num.items():
                 num[e] = num.get(e, 0) + f * v
-        rows[l] = ScalarSeries.reduced(num, den)
-    return rows
+        rows.append(ScalarSeries.reduced(dict(sorted(num.items())), den))
+    return tuple(rows)
 
 
 def hirzebruch_coefficient(l: int, t):
@@ -165,95 +163,94 @@ def hirzebruch_coefficient(l: int, t):
     return s.get(0, Fraction(0))
 
 
-# -- argument tables ---------------------------------------------------------------
+# -- argument rows ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def _euler_table(weight: int, D: int) -> Table:
-    """e_{kq}: phi_l = -(l-1)!/(-k q)^l, exact at every order.  Memoised,
-    read-only."""
-    return MappingProxyType({
-        l: ScalarSeries.of([(-l, Fraction(-factorial(l - 1), (-weight) ** l))])
-        for l in range(1, D + 1)
-    })
+class _RowStore:
+    """The weight-1 rows of one kind, built by ``build(D, order)`` on first
+    use and rebuilt at the larger size when a call asks for a larger D or
+    order; a call gets the rows phi_0..phi_D."""
+
+    def __init__(self, build: Callable[[int, int], Rows]):
+        self.build, self.D, self.order, self.rows = build, -1, -1, ()
+
+    def __call__(self, D: int, order: int = 0) -> Rows:
+        if D > self.D or order > self.order:
+            self.D, self.order = max(D, self.D), max(order, self.order)
+            self.rows = self.build(self.D, self.order)
+        return self.rows[: D + 1]
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def _todd_table(weight: int, D: int, order: int, first: int = 0) -> Table:
-    """phi_j = -sum_{n=first}^{order} B_{n+j}(0)/(n+j) (kq)^n/n! over n+j >= 1:
-    the equivariant Todd class Td(x (x) O(kq)) for first = 0, the twist
-    ratio Td(x (x) O(kq)) / Td(x) for first = 1.  Memoised, read-only."""
-    table = {}
-    for j in range(D + 1):
-        phi = ScalarSeries.of(
-            (n, -bernoulli(n + j) / (n + j) * Fraction(weight) ** n / factorial(n))
-            for n in range(max(first, 1 - j), order + 1)
-        )
-        if phi:
-            table[j] = phi
-    return MappingProxyType(table)
+def _euler_rows(D: int, order: int) -> Rows:
+    """e_q: phi_l = -(l-1)!/(-q)^l, one term at q^-l, at every order."""
+    return _ZERO, *(ScalarSeries({-l: (-1) ** (l + 1) * factorial(l - 1)})
+                    for l in range(1, D + 1))
 
 
-def _twist_table(weight: int, D: int, order: int) -> Table:
-    """The Todd twist ratio Td(x (x) O(kq)) / Td(x)."""
-    return _todd_table(weight, D, order, 1)
+def _todd_rows(first: int, D: int, order: int) -> Rows:
+    """phi_j = -sum_{n=first}^{order} B_{n+j}(0)/(n+j) q^n/n! over n+j >= 1:
+    the equivariant Todd class Td(x (x) O(q)) for first = 0, the twist
+    ratio Td(x (x) O(q)) / Td(x) for first = 1."""
+    return tuple(ScalarSeries.of((n, -bernoulli(n + j) / (n + j) / factorial(n))
+                                 for n in range(max(first, 1 - j), order + 1))
+                 for j in range(D + 1))
 
 
-def _reciprocal_expm1(weight: int, cutoff: int) -> ScalarSeries:
-    """u = t/(1-t) at t = exp(-kq), that is 1/(e^{kq}-1) =
-    sum_{n>=0} B_n(0) k^{n-1} q^{n-1}/n!, exact up to q^cutoff."""
-    k = Fraction(weight)
-    terms = ((n - 1, bernoulli(n) * k ** (n - 1) / factorial(n)) for n in range(cutoff + 2))
-    return ScalarSeries.of(terms)
+def _reciprocal_expm1(cutoff: int) -> ScalarSeries:
+    """u = t/(1-t) = 1/(e^q-1) = sum_n B_n(0) q^{n-1}/n! at t = exp(-q), to q^cutoff."""
+    return ScalarSeries.of((n - 1, bernoulli(n) / factorial(n)) for n in range(cutoff + 2))
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def _exp_hirzebruch_table(weight: int, D: int, order: int) -> Table:
-    """The table of c_t at t = exp(-kq) for the rank factor (kq)^rank, up
-    to ``order``: besides phi_l = -s_l(t) it has the rank row
-    phi_0 = log((1 - exp(-kq))/(kq)) = sum_n B_n(0)/n (kq)^n/n!, which is
-    minus the rank row of the twist table.
-
-    The rows phi_l are the Stirling sums of :func:`_stirling_rows` over the
-    powers of the Bernoulli series u = 1/(e^{kq}-1), cut at q^{order+D+1}
-    as the powers of u lose up to D + 1 orders.  Memoised per (k, D, order),
-    read-only."""
+def _exp_hirzebruch_rows(D: int, order: int) -> Rows:
+    """c_t at t = exp(-q) for the rank factor q^rank, up to ``order``: the
+    rank row log((1 - exp(-q))/q), minus that of the twist, and the Stirling
+    sums phi_l = -s_l(t) over the powers of u, which lose up to D + 1 orders."""
     cutoff = order + D + 1
-    rows = _stirling_rows(_reciprocal_expm1(weight, cutoff), D, cutoff)
-    table = {l: ScalarSeries.reduced({e: v for e, v in phi.num.items() if e <= order}, phi.den)
-             for l, phi in rows.items()}
-    table[0] = -_twist_table(weight, D, order).get(0, ScalarSeries({}))
-    return MappingProxyType(table)
+    rows = _stirling_rows(_reciprocal_expm1(cutoff), D, cutoff)[1:]
+    return -_todd_rows(1, 0, order)[0], *(
+        ScalarSeries.reduced({e: v for e, v in phi.num.items() if e <= order}, phi.den)
+        for phi in rows)
+
+
+_EULER = _RowStore(_euler_rows)
+_TODD = _RowStore(partial(_todd_rows, 0))
+_TWIST = _RowStore(partial(_todd_rows, 1))
+_HIRZEBRUCH = _RowStore(_exp_hirzebruch_rows)
 
 
 def _argument(
-    ring: Ring, terms: Iterable[tuple["KClass", Table]], q_max: int | None = None
+    ring: Ring, terms: Iterable[tuple["KClass", int, Rows]], q_max: int | None = None
 ) -> tuple[ScalarSeries, dict[int, Part]]:
-    """sum over (x, table) of sum_l phi_l(q) * Ch_l(x), with Ch_0 = rank,
+    """sum over (x, k, rows) of sum_l phi_l(kq) * Ch_l(x), with Ch_0 = rank,
     dropping exponents above q_max, as its scalar part (the rank rows) and
     its nonzero Chow-degree-l parts (the rows phi_l against Ch_l), in the
     form the graded exp takes.  Each part is one integer accumulate
-    acc[e][i] += f * v * a of row and Chow numerators on one denominator,
-    each class against its own table: the argument is additive in x."""
-    by_degree: dict[int, list[tuple[ScalarSeries, ChowElement]]] = {}
-    for x, table in terms:
+    acc[e][i] += f * v * k^(e+P) * a of row and Chow numerators on one
+    denominator, each class against its own rows: the argument is additive
+    in x.  The weight enters only here, as q -> kq, with the denominator k^P
+    for a row with poles down to q^-P.  Rows ascend, so each stops at q_max
+    (at weight 0, after q^0)."""
+    by_degree: dict[int, list[tuple[ScalarSeries, int, int, ChowElement]]] = {}
+    for x, k, rows in terms:
         if x.ring != ring:
             raise ValueError("ring mismatch")
-        for l, phi in table.items():
+        for l, phi in enumerate(rows):
             c = ring.const(x.rank) if l == 0 else x.chern_character(l)
             if phi and c:
-                by_degree.setdefault(l, []).append((phi, c))
+                by_degree.setdefault(l, []).append((phi, k, max(-next(iter(phi.num)), 0), c))
+    top = inf if q_max is None else q_max
     parts: dict[int, Part] = {}
     for l, items in by_degree.items():
-        den = common_den(phi.den * c._den for phi, c in items)
+        den = common_den(phi.den * abs(k**P) * c._den for phi, k, P, c in items)
         acc: dict[int, dict[int, int]] = {}
-        for phi, c in items:
-            f = den // (phi.den * c._den)
+        for phi, k, P, c in items:
+            f, stop = den // (phi.den * k**P * c._den), top if k else min(top, 0)
             for e, v in phi.num.items():
-                if q_max is None or e <= q_max:
-                    out, fv = acc.setdefault(e, {}), f * v
-                    for i, a in c._num.items():
-                        out[i] = out.get(i, 0) + fv * a
+                if e > stop:
+                    break
+                out, fv = acc.setdefault(e, {}), f * v * k ** (e + P)
+                for i, a in c._num.items():
+                    out[i] = out.get(i, 0) + fv * a
         acc = {e: nz for e, row in acc.items() if (nz := {i: v for i, v in row.items() if v})}
         if acc:
             parts[l] = (acc, den)
@@ -261,7 +258,7 @@ def _argument(
     return ScalarSeries.reduced({e: row[0] for e, row in num.items()}, den), parts
 
 
-def _log_linear(ring: Ring, terms: Iterable[tuple["KClass", Table]], q_max: int | None = None,
+def _log_linear(ring: Ring, terms: Iterable[tuple["KClass", int, Rows]], q_max: int | None = None,
                 order: int | None = None, rank: ScalarSeries | None = None) -> QSeries:
     """The multiplicative class rank * exp(A) for the argument A of
     :func:`_argument` (reliable up to q_max, None: exact), with exp(A)
@@ -289,7 +286,7 @@ def _weighted_product(
 
     This is where every working order comes from.  The rank factor is
     c q^rho, so the exp must be reliable to target - rho; exp loses D + 1
-    orders below its poles, so each table is built to target - rho + D + 1.
+    orders below its poles, so the rows are read to target - rho + D + 1.
     """
     D = ring.truncation
     ranked = [(x.rank, int(k)) for x, k in [*euler, *hirzebruch]]
@@ -301,11 +298,10 @@ def _weighted_product(
     rank = ScalarSeries.reduced({rho: num}, den)
 
     def at(order: int | None) -> QSeries:
-        terms = [(x, _euler_table(int(k), D)) for x, k in euler]
-        if order is not None:
-            terms += [(x, _exp_hirzebruch_table(int(k), D, order)) for x, k in hirzebruch]
-            terms += [(x, _todd_table(int(k), D, order)) for x, k in todd]
-            terms += [(x, _twist_table(int(k), D, order)) for x, k in twist]
+        terms = [(x, int(k), _EULER(D)) for x, k in euler]
+        terms += [(x, int(k), _HIRZEBRUCH(D, order)) for x, k in hirzebruch]
+        terms += [(x, int(k), _TODD(D, order)) for x, k in todd]
+        terms += [(x, int(k), _TWIST(D, order)) for x, k in twist]
         return _log_linear(ring, terms, order, None if order is None else target - rho, rank)
 
     if target is None:
@@ -423,8 +419,7 @@ def sum_of_roots(ring: Ring, alphas: Iterable[ChowElement]) -> KClass:
 
 def todd(x: KClass) -> ChowElement:
     """Todd class, exp(-sum_{l>=1} B_l(0)/l * Ch_l(x)); Td(L) = 1 + c/2 + c^2/12 + ..."""
-    table = _todd_table(0, x.ring.truncation, 0)
-    return _log_linear(x.ring, [(x, table)]).coefficient(0)
+    return _log_linear(x.ring, [(x, 0, _TODD(x.ring.truncation))]).coefficient(0)
 
 
 def hirzebruch_class(t, x: KClass, q_max: int | None = None):
@@ -444,7 +439,7 @@ def hirzebruch_class(t, x: KClass, q_max: int | None = None):
     table, valid, one_minus = _hirzebruch_table(t, ring.truncation)
     if not formal:
         rank = ScalarSeries.of({0: one_minus[0] ** x.rank})
-        return _log_linear(ring, [(x, table)], rank=rank).coefficient(0)
+        return _log_linear(ring, [(x, 1, table)], rank=rank).coefficient(0)
     order = t.q_max
     out_order = order if q_max is None else min(int(q_max), order)
     if x.rank >= 0:
@@ -453,7 +448,7 @@ def hirzebruch_class(t, x: KClass, q_max: int | None = None):
         rank_data = scalar_pow(scalar_invert(one_minus, order), -x.rank, out_order)
         rank_valid = min(order - 1 + x.rank, out_order)
     rank = QSeries.from_scalars(ring, rank_data, rank_valid)
-    return rank * _log_linear(ring, [(x, table)], valid, out_order)
+    return rank * _log_linear(ring, [(x, 1, table)], valid, out_order)
 
 
 def equivariant_euler(x: KClass, weight: int) -> QSeries:

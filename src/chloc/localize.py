@@ -139,12 +139,15 @@ def localization_product(
     ``v`` and ``t`` enter through equivariant Euler and Todd factors, ``n``
     (the normal data) through an inverted Euler factor: one weighted
     product of the Euler classes E, V and -N and the Todd classes T and -V,
-    whose Todd arguments cancel when T = V.
+    less each entry of T equal to one of V, whose Todd classes cancel.
     """
     ring = hodge.ring
     target = ring.q_max if q_max is None else int(q_max)
     euler = [(hodge, -hodge_weight), *v, *((-x, k) for x, k in n)]
-    todd = [*t, *((-x, k) for x, k in v)]
+    todd, v_left = [], list(v)
+    for w in t:  # an entry of T equal to one of V cancels that V's Todd class
+        (v_left.remove if w in v_left else todd.append)(w)
+    todd += [(-x, k) for x, k in v_left]
     return LocResult.from_series(_weighted_product(ring, target, euler=euler, todd=todd))
 
 

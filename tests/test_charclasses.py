@@ -1,4 +1,7 @@
 from fractions import Fraction as F
+from functools import partial
+from math import factorial
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -22,19 +25,26 @@ from chloc import (
     todd,
     todd_twist_ratio,
 )
+from chloc import charclasses, cli
 from chloc.charclasses import (
+    _EULER,
+    _HIRZEBRUCH,
+    _TODD,
+    _TWIST,
+    _RowStore,
     _argument,
-    _exp_hirzebruch_table,
+    _euler_rows,
+    _exp_hirzebruch_rows,
     _hirzebruch_table,
     _reciprocal_expm1,
-    _todd_table,
-    _twist_table,
+    _todd_rows,
 )
 from chloc.sampling import sample_kclass, sample_ring, sample_weight
 from chloc.series import ScalarSeries
 
 from oracles import (
     bernoulli_oracle,
+    laurent_exp,
     poly_add,
     poly_scale,
     line_hirzebruch,
@@ -444,11 +454,76 @@ def test_identity_margin_stability():
                 assert series == wide[name], (name, rank, q)
 
 
-# -- the tables at t = exp(-kq) ---------------------------------------------------------
+# -- the weight-1 row stores ----------------------------------------------------------
+
+_BUILDERS = {
+    "euler": _euler_rows,
+    "todd": partial(_todd_rows, 0),
+    "twist": partial(_todd_rows, 1),
+    "hirzebruch": _exp_hirzebruch_rows,
+}
+_STORES = ("_EULER", "_TODD", "_TWIST", "_HIRZEBRUCH")
+
+
+def _scaled(rows, k, order):
+    """The rows phi_l(kq) up to q^order as {exponent: Fraction} maps: k^e
+    times each stored coefficient at q^e."""
+    return [{e: v * F(k) ** e for e, v in phi.items() if e <= order} for phi in rows]
+
+
+def test_scaled_rows_match_oracles():
+    # the rows at weight k are the weight-1 rows with q -> kq
+    scalars = Ring([], 0)
+    for k in (-3, -2, -1, 2, 3, 5):
+        for D in (1, 3, 6):
+            stirling, valid, _ = _hirzebruch_table(q_exponential(scalars, -k, 14 + D + 1), D)
+            assert valid >= 14
+            for order in (0, 5, 14):
+                euler = _scaled(_EULER(D), k, order)
+                todd_rows = _scaled(_TODD(D, order), k, order)
+                twist = _scaled(_TWIST(D, order), k, order)
+                hirzebruch = _scaled(_HIRZEBRUCH(D, order), k, order)
+                assert {len(rows) for rows in (euler, todd_rows, twist, hirzebruch)} == {D + 1}
+                # e_{kq}: phi_l = -(l-1)!/(-kq)^l
+                expected = [{-l: F(-factorial(l - 1), (-k) ** l)} for l in range(1, D + 1)]
+                assert euler == [{}] + expected
+                # Td(L (x) O(kq)) = exp(sum_j phi_j(kq) y^j/j!) on a line of root
+                # y is line_todd at y + kq: phi_0(kq) is the log of
+                # line_todd(kq), and d/dq phi_j(kq) = k phi_{j+1}(kq)
+                line = {n: c * F(k) ** n for n, c in enumerate(line_todd(order)) if c}
+                assert laurent_exp(todd_rows[0], order) == line
+                for j in range(D):
+                    derivative = {n - 1: n * c for n, c in todd_rows[j].items() if n}
+                    next_row = {n: k * c for n, c in todd_rows[j + 1].items() if n < order}
+                    assert derivative == next_row
+                # the twist ratio drops the q^0 terms
+                assert twist == [{n: c for n, c in row.items() if n} for row in todd_rows]
+                # the Stirling form at the series t = exp(-kq), and the rank row
+                assert hirzebruch[0] == {n: -c for n, c in twist[0].items()}
+                for l in range(1, D + 1):
+                    assert hirzebruch[l] == {e: v for e, v in stirling[l].items() if e <= order}
+
+
+def test_rows_extend_as_prefixes():
+    # a row at a lower order is a prefix of the row at a higher order, and
+    # row l does not depend on D: so one store serves every (D, order)
+    for name, build in _BUILDERS.items():
+        top = build(6, 14)
+        for D in (1, 3, 6):
+            for order in (0, 5, 14):
+                rows = build(D, order)
+                assert len(rows) == D + 1
+                assert all(list(phi) == sorted(phi) for phi in rows)
+                assert [dict(phi) for phi in rows] == _scaled(top[: D + 1], 1, order)
+                for k in (-3, -2, -1, 2, 3, 5):
+                    expected = _scaled(top[: D + 1], k, order)
+                    assert _scaled(rows, k, order) == expected, (name, D, order, k)
+
 
 # (k, D) -> every order at which acceptance criteria 1 and 7 and the identity
-# and localize benchmark workloads (seeds 1-3) build _exp_hirzebruch_table(k,
-# D, order), recorded by wrapping that function while they ran.
+# and localize benchmark workloads (seeds 1-3) built the t = exp(-kq)
+# Hirzebruch table per (k, D, order), recorded by wrapping its builder while
+# they ran, before the tables became weight-free.
 _REACHED = {
     (-1, 1): (3, 4, 7, 8, 15, 17),
     (-1, 2): (8, 9, 10, 11, 13, 14, 16, 17, 18, 19, 20),
@@ -493,14 +568,14 @@ def test_bernoulli_u_matches_reciprocal_expm1():
     # 1/(e^{kq} - 1) is 1/(e^x - 1) at x = kq
     order = 30
     recip = reciprocal_expm1(order)
-    for k in (1, 2, 3, -1, -2, -3):
+    for k in (1, 2, 3, 5, -1, -2, -3):
         expected = {e: c * F(k) ** e for e, c in recip.items() if e <= order}
-        assert _reciprocal_expm1(k, order) == expected
+        assert _scaled([_reciprocal_expm1(order)], k, order) == [expected]
 
 
 def test_exp_hirzebruch_table_matches_stirling_form():
-    # the Bernoulli-u table against the Stirling form at the series
-    # t = exp(-kq), on every (k, D, order) the checks above reach
+    # the Bernoulli-u rows scaled to weight k against the Stirling form at
+    # the series t = exp(-kq), on every (k, D, order) the checks above reach
     scalars = Ring([], 0)
     for (k, D), orders in _REACHED.items():
         top = max(orders)
@@ -508,46 +583,73 @@ def test_exp_hirzebruch_table_matches_stirling_form():
         reference, valid, _ = _hirzebruch_table(t, D)
         assert valid >= top
         for order in orders:
-            table = _exp_hirzebruch_table(k, D, order)
-            assert set(table) == set(range(D + 1))
-            assert dict(table[0]) == {n: -v for n, v in _twist_table(k, D, order)[0].items()}
+            rows = _scaled(_HIRZEBRUCH(D, order), k, order)
+            assert len(rows) == D + 1
+            assert rows[0] == {n: -v for n, v in _scaled(_TWIST(D, order), k, order)[0].items()}
             for l in range(1, D + 1):
                 expected = {e: v for e, v in reference[l].items() if e <= order}
-                assert dict(table[l]) == expected, (k, D, order, l)
+                assert rows[l] == expected, (k, D, order, l)
 
 
 def test_cached_tables_are_read_only():
-    for table in (_exp_hirzebruch_table(2, 3, 10), _todd_table(-1, 2, 6), _twist_table(3, 2, 6)):
+    for rows in (_HIRZEBRUCH(3, 10), _TODD(2, 6), _TWIST(2, 6), _EULER(3)):
         with pytest.raises(TypeError):
-            table[1] = {}
+            rows[1] = {}
         with pytest.raises(TypeError):
-            table[1][1] = F(1)
+            rows[1][1] = F(1)
         with pytest.raises(TypeError):
-            del table[1]
+            del rows[1]
 
 
-def _seeded_products():
+def _empty_stores(monkeypatch, builds=None):
+    """Put empty row stores in place of the module's; with ``builds``, count
+    each kind's builds in it by store name."""
+    for name in _STORES:
+        build = getattr(charclasses, name).build
+        if builds is not None:
+            def build(D, order, name=name, inner=build):
+                builds[name] = builds.get(name, 0) + 1
+                return inner(D, order)
+        monkeypatch.setattr(charclasses, name, _RowStore(build))
+
+
+def test_results_do_not_depend_on_the_request_order(monkeypatch):
+    # from empty stores, requests in ascending (D, order) rebuild each store
+    # again and again, while in descending order the first build serves
+    # every later request by prefixes
     rng = Random(2718)
-    out = []
-    for _ in range(4):
-        ring = sample_ring(rng, max_truncation=3)
+    cases = []
+    for D in (1, 2, 3, 4):
+        ring = Ring([("a", 1), ("b", 2)], D)
         x, y = sample_kclass(rng, ring), sample_kclass(rng, ring)
         k, j = sample_weight(rng), sample_weight(rng)
-        out.append(euler_identity_check(x, k, q_max=10))
-        out.append(crosscheck_factors(ring, [(x, k), (-y, j)], q_max=8))
-        out.append(localization_product(x, k, [(y, j)], [(x, j), (y, -k)], [(x + y, k)], q_max=8))
-    return out
+        cases += [(D, q, ring, x, y, k, j) for q in (2, 6, 10)]
+
+    def products(D, q, ring, x, y, k, j):
+        return [str(r) for r in (
+            euler_identity_check(x, k, q),
+            crosscheck_factors(ring, [(x, k), (-y, j)], q),
+            localization_product(x, k, [(y, j)], [(x, j), (y, -k)], [(x + y, k)], q),
+            todd_twist_ratio(y, j, q),
+            todd(x),
+        )]
+
+    results = []
+    for descending in (False, True):
+        _empty_stores(monkeypatch)
+        ordered = sorted(cases, key=lambda case: case[:2], reverse=descending)
+        results.append({case[:2]: products(*case) for case in ordered})
+    assert results[0] == results[1]
 
 
-def test_results_do_not_depend_on_the_table_caches():
-    builders = (_exp_hirzebruch_table, _todd_table)
-    for f in builders:
-        f.cache_clear()
-    cold = _seeded_products()
-    hits = [f.cache_info().hits for f in builders]
-    warm = _seeded_products()
-    assert all(f.cache_info().hits > h for f, h in zip(builders, hits))
-    assert warm == cold
+def test_cold_identity_job_builds_each_kind_at_most_twice(monkeypatch, capsys):
+    golden = Path(__file__).parent / "golden"
+    builds = {}
+    _empty_stores(monkeypatch, builds)
+    assert cli.main(["classes", "identity", "--job", str(golden / "job_identity.json")]) == 0
+    assert capsys.readouterr().out == (golden / "classes_identity.txt").read_text()
+    assert set(builds) == {"_EULER", "_TWIST", "_HIRZEBRUCH"}
+    assert max(builds.values()) <= 2, builds
 
 
 def _argument_view(ring, q_max, scal, parts):
@@ -564,8 +666,9 @@ def _argument_view(ring, q_max, scal, parts):
 
 
 def test_argument_matches_scaled_sums():
-    # sum over (x, table) of phi_l[e] * Ch_l(x), Ch_0 = rank, each term
-    # scaled and added apart on plain {exponent tuple: Fraction} maps
+    # sum over (x, k, rows) of k^e phi_l[e] * Ch_l(x), Ch_0 = rank, each term
+    # scaled and added apart on plain {exponent tuple: Fraction} maps; rows
+    # with poles take a nonzero k, and k = 0 keeps the q^0 terms only
     rng = Random(1214)
     rings = [sample_ring(rng) for _ in range(12)]
     rings += [Ring([("a", 1), ("b", 2), ("c", 3)], 4), Ring([], 0), Ring([("a", 1)], 0)]
@@ -573,22 +676,25 @@ def test_argument_matches_scaled_sums():
         D = ring.truncation
         terms = []
         for _ in range(rng.randint(1, 3)):
-            table = {
-                l: ScalarSeries.of({e: F(rng.randint(-4, 4), rng.randint(1, 5))
-                                    for e in rng.sample(range(-D - 1, 6), 3)})
-                for l in rng.sample(range(D + 1), rng.randint(0, D + 1))
-            }
-            terms.append((sample_kclass(rng, ring), table))
+            k = rng.choice([-3, -2, -1, 0, 1, 2, 5])
+            low = 0 if k == 0 else -D - 1
+            rows = tuple(
+                ScalarSeries.of(sorted({e: F(rng.randint(-4, 4), rng.randint(1, 5))
+                                        for e in rng.sample(range(low, 6), 3)}.items()))
+                if rng.random() < 0.7 else ScalarSeries({})
+                for _ in range(rng.randint(0, D + 1))
+            )
+            terms.append((sample_kclass(rng, ring), k, rows))
         q_max = rng.choice([None, rng.randint(-2, 4)])
         got = _argument_view(ring, q_max, *_argument(ring, terms, q_max))
         expected: dict = {}
-        for x, table in terms:
-            for l, phi in table.items():
+        for x, k, rows in terms:
+            for l, phi in enumerate(rows):
                 c = dict(x.chern_character(l).items()) if l else {(0,) * ring.ngens: F(x.rank)}
                 for e, v in phi.items():
                     if q_max is None or e <= q_max:
-                        expected[e] = poly_add(expected.get(e, {}), poly_scale(v, c))
+                        expected[e] = poly_add(expected.get(e, {}), poly_scale(v * F(k) ** e, c))
         assert got == {e: c for e, c in expected.items() if c}
     other = Ring([("a", 1)], 3)
     with pytest.raises(ValueError, match="ring mismatch"):
-        _argument(rings[0], [(KClass(other, 1), {0: ScalarSeries.of({0: 1})})])
+        _argument(rings[0], [(KClass(other, 1), 1, (ScalarSeries.of({0: 1}),))])
