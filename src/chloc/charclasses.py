@@ -58,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, inf, lcm, prod
+from math import comb, factorial, gcd, inf, lcm, prod
 from typing import Callable, Iterable, Sequence
 
 from .rings import ChowElement, Ring, common_den
@@ -228,8 +228,9 @@ def _argument(
     acc[e][i] += f * v * k^(e+P) * a of row and Chow numerators on one
     denominator, each class against its own rows: the argument is additive
     in x.  The weight enters only here, as q -> kq, with the denominator k^P
-    for a row with poles down to q^-P.  Rows ascend, so each stops at q_max
-    (at weight 0, after q^0)."""
+    for a row with poles down to q^-P, and each part is divided by the
+    content this scaling leaves.  Rows ascend, so each stops at q_max (at
+    weight 0, after q^0)."""
     by_degree: dict[int, list[tuple[ScalarSeries, int, int, ChowElement]]] = {}
     for x, k, rows in terms:
         if x.ring != ring:
@@ -239,21 +240,26 @@ def _argument(
             if phi and c:
                 by_degree.setdefault(l, []).append((phi, k, max(-next(iter(phi.num)), 0), c))
     top = inf if q_max is None else q_max
+    powers: dict[int, list[int]] = {}  # k -> [k^0, k^1, ...]
     parts: dict[int, Part] = {}
     for l, items in by_degree.items():
         den = common_den(phi.den * abs(k**P) * c._den for phi, k, P, c in items)
         acc: dict[int, dict[int, int]] = {}
         for phi, k, P, c in items:
             f, stop = den // (phi.den * k**P * c._den), top if k else min(top, 0)
+            pw = powers.setdefault(k, [1])
+            for _ in range(len(pw), min(stop, next(reversed(phi.num))) + P + 1):
+                pw.append(pw[-1] * k)
             for e, v in phi.num.items():
                 if e > stop:
                     break
-                out, fv = acc.setdefault(e, {}), f * v * k ** (e + P)
+                out, fv = acc.setdefault(e, {}), f * v * pw[e + P]
                 for i, a in c._num.items():
                     out[i] = out.get(i, 0) + fv * a
-        acc = {e: nz for e, row in acc.items() if (nz := {i: v for i, v in row.items() if v})}
+        g = gcd(den, *(gcd(*row.values()) for row in acc.values()))
+        acc = {e: nz for e, row in acc.items() if (nz := {i: v // g for i, v in row.items() if v})}
         if acc:
-            parts[l] = (acc, den)
+            parts[l] = (acc, den // g)
     num, den = parts.pop(0, ({}, 1))
     return ScalarSeries.reduced({e: row[0] for e, row in num.items()}, den), parts
 

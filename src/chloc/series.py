@@ -14,11 +14,12 @@ Truncation bookkeeping:
   by a series of negative valuation lowers the reliable order;
 * invert / exp: coefficients with poles in q are nilpotent, and they obey
   the grading bound: a coefficient at q^-e has Chow degree at least e.
-  Under that bound information travels downward by at most the Chow
-  truncation D, so when poles are present these operations pad their
-  internal working order by the fixed D + 1 and lower the reported order
-  by the same amount.  A truncated result of a series that breaks the
-  bound is refused with ValueError;
+  Under that bound a product with a degree-j part moves a term down by at
+  most j, so when poles are present these operations read the input to
+  D + 1 orders above the target, lower the reported order by the same
+  amount, and cut the Chow-degree-d part of the result at D - d orders
+  above the target.  A truncated result of a series that breaks the bound
+  is refused with ValueError;
 * compute_at_precision: a caller that knows the order it needs derives the
   working order once and asks for it; a result short of the target raises
   ArithmeticError.
@@ -472,23 +473,28 @@ def _graded_series(ring: Ring, first: ScalarSeries, parts: dict[int, Part], cuto
     """The coefficients up to q^top (None keeps all) of sum_{d=0}^{D} F_d,
     F_0 = ``first`` and F_d = sum_{j=1}^{d} parts[j] F_{d-j}, or
     F_d = (1/d) sum_j j parts[j] F_{d-j} when ``exp``, each F_d one integer
-    accumulate on one denominator with exponents above cutoff dropped (None
-    keeps all).  ``parts[j]`` is homogeneous of degree j, so the F_d sit on
-    disjoint monomials: their sum is a merge, each coefficient reduced once.
+    accumulate on one denominator.  ``parts[j]`` is homogeneous of degree j,
+    so the F_d sit on disjoint monomials: their sum is a merge, each
+    coefficient reduced once.
 
-    Dropping is safe below cutoff - D: parts[j] lives at exponents >= -j
-    (the grading bound :func:`_pad` checks) and F_0 above its own lowest
-    exponent, so along any chain of products a term moves down by at most
-    d <= D.  Hence the fixed D + 1 padding of exp and invert."""
+    Each F_d drops its exponents above max(top, cutoff - 1 - d) (None keeps
+    all).  Below poles exp and invert pad cutoff to top + D + 1, so F_d is
+    cut at top + D - d: parts[j] lives at exponents >= -j (the grading bound
+    :func:`_pad` checks) and F_0 above its own lowest exponent, so the
+    products from F_d to F_{d'} move a term down by at most d' - d, and a
+    term of F_d above top + D - d reaches each later F_{d'} only above its
+    cut top + D - d', never at or below top.  With no poles cutoff = top
+    and no product moves a term down."""
     table = ring._mono
     graded: list[Part] = [({e: {0: v} for e, v in first.num.items()}, first.den)]
     for d in range(1, ring.truncation + 1):
         terms = [(j, parts[j], graded[d - j]) for j in range(1, d + 1)
                  if j in parts and graded[d - j][0]]
         den = common_den(a[1] * b[1] for _, a, b in terms)
+        cut = None if cutoff is None else max(top, cutoff - 1 - d)
         acc: dict[int, dict[int, int]] = {}
         for j, (a, da), (b, db) in terms:
-            multiply_accumulate(table, acc, a, b, (j if exp else 1) * (den // (da * db)), cutoff)
+            multiply_accumulate(table, acc, a, b, (j if exp else 1) * (den // (da * db)), cut)
         graded.append((acc, den * d if exp else den))
     den = common_den(d for num, d in graded if num)
     merged: dict[int, dict[int, int]] = {}

@@ -296,63 +296,96 @@ def _scalar_exp_list(a: dict[int, F]) -> list[F]:
     return out
 
 
+def _assert_exp_matches_oracle(ring, nil, scal, q_max, order):
+    """exp of the nilpotent coefficients ``nil`` plus the scalars ``scal``,
+    against the sum of powers times the scalar exp."""
+    D = ring.truncation
+    coeffs = {e: nil.get(e, ring.zero()) + scal.get(e, 0) for e in set(nil) | set(scal)}
+    got = QSeries(ring, coeffs, q_max).exp(order)
+    expected = nilpotent_power_sum(QSeries(ring, nil), None, lambda m: F(1, factorial(m)))
+    if not scal and q_max is None:
+        assert got.is_exact and got == expected
+        return
+    # the fixed D + 1 padding below a pole at q^-1 or lower
+    pad = D + 1 if nil and min(nil) <= -1 else 0
+    target = ring.q_max if order is None else order
+    if q_max is not None:
+        target = min(target, q_max - pad)
+    assert got.q_max == target
+    expected = expected * QSeries.from_scalars(ring, dict(enumerate(_scalar_exp_list(scal))))
+    assert {e: got.coefficient(e) for e in got.exponents()} == {
+        e: expected.coefficient(e) for e in expected.exponents() if e <= target
+    }
+
+
+def _assert_invert_matches_oracle(ring, c, k, u_nil, u_scal, q_max, order):
+    """The inverse of s = c q^k (1 + u_scal + u_nil): 1/s = c^-1 q^-k S
+    sum_m (-v)^m with S = 1/(1 + u_scal) from the scalar list oracle and
+    v = S u_nil."""
+    D = ring.truncation
+    one_plus_u = QSeries(ring, u_nil) + QSeries.from_scalars(ring, {0: 1, **u_scal})
+    coeffs = {e: one_plus_u.coefficient(e) * c for e in one_plus_u.exponents()}
+    got = QSeries(ring, coeffs, q_max).shifted(k).invert(order)
+    one_plus = [F(int(n == 0)) + u_scal.get(n, F(0)) for n in range(_ORACLE_ORDER + 1)]
+    S = QSeries.from_scalars(ring, dict(enumerate(ser_inv(one_plus, _ORACLE_ORDER))))
+    v = S * QSeries(ring, u_nil)
+    expected = (S * nilpotent_power_sum(v, None, lambda m: (-1) ** m)).shifted(-k) * (1 / c)
+    if not u_scal and q_max is None:
+        assert got.is_exact and got == expected
+        return
+    pad = D + 1 if u_nil and min(u_nil) <= 0 else 0
+    target = ring.q_max if order is None else order
+    if q_max is not None:
+        target = min(target, q_max - k - pad)
+    assert got.q_max == target
+    assert {e: got.coefficient(e) for e in got.exponents()} == {
+        e: expected.coefficient(e) for e in expected.exponents() if e <= got.q_max
+    }
+
+
 def test_exp_matches_power_sum_oracle():
     rng = Random(1212)
     for ring in _oracle_rings(rng) * 3:
         D = ring.truncation
         nil = _graded_nilpotent(rng, ring, rng.sample(range(-D - 1, 4), rng.randint(0, D + 3)))
         scal = _scalars(rng)
-        coeffs = {e: nil.get(e, ring.zero()) + scal.get(e, 0) for e in set(nil) | set(scal)}
         q_max = rng.choice([None, None, rng.randint(0, 8)])
         order = rng.choice([None, rng.randint(-2, 8)])
-        got = QSeries(ring, coeffs, q_max).exp(order)
-        expected = nilpotent_power_sum(QSeries(ring, nil), None, lambda m: F(1, factorial(m)))
-        if not scal and q_max is None:
-            assert got.is_exact and got == expected
-            continue
-        # the fixed D + 1 padding below a pole at q^-1 or lower
-        pad = D + 1 if nil and min(nil) <= -1 else 0
-        target = ring.q_max if order is None else order
-        if q_max is not None:
-            target = min(target, q_max - pad)
-        assert got.q_max == target
-        expected = expected * QSeries.from_scalars(ring, dict(enumerate(_scalar_exp_list(scal))))
-        assert {e: got.coefficient(e) for e in got.exponents()} == {
-            e: expected.coefficient(e) for e in expected.exponents() if e <= target
-        }
+        _assert_exp_matches_oracle(ring, nil, scal, q_max, order)
 
 
 def test_invert_matches_power_sum_oracle():
-    # s = c q^k (1 + u_scal + u_nil); 1/s = c^-1 q^-k S sum_m (-v)^m with
-    # S = 1/(1 + u_scal) from the scalar list oracle and v = S u_nil
     rng = Random(1213)
     for ring in _oracle_rings(rng) * 3:
         D = ring.truncation
         c, k = rng.choice([F(1), F(-2), F(3, 5)]), rng.randint(-2, 2)
         u_nil = _graded_nilpotent(rng, ring, rng.sample(range(-D, 4), rng.randint(0, D + 3)))
         u_scal = _scalars(rng)
-        one_plus_u = QSeries(ring, u_nil) + QSeries.from_scalars(ring, {0: 1, **u_scal})
         q_max = rng.choice([None, None, rng.randint(0, 8)])
-        coeffs = {e: one_plus_u.coefficient(e) * c for e in one_plus_u.exponents()}
-        s = QSeries(ring, coeffs, q_max).shifted(k)
         order = rng.choice([None, rng.randint(-2, 8)])
-        got = s.invert(order)
-        one_plus = [F(int(n == 0)) + u_scal.get(n, F(0)) for n in range(_ORACLE_ORDER + 1)]
-        inv_scal = ser_inv(one_plus, _ORACLE_ORDER)
-        S = QSeries.from_scalars(ring, dict(enumerate(inv_scal)))
-        v = S * QSeries(ring, u_nil)
-        expected = (S * nilpotent_power_sum(v, None, lambda m: (-1) ** m)).shifted(-k) * (1 / c)
-        if not u_scal and q_max is None:
-            assert got.is_exact and got == expected
-            continue
-        pad = D + 1 if u_nil and min(u_nil) <= 0 else 0
-        target = ring.q_max if order is None else order
-        if q_max is not None:
-            target = min(target, q_max - k - pad)
-        assert got.q_max == target
-        assert {e: got.coefficient(e) for e in got.exponents()} == {
-            e: expected.coefficient(e) for e in expected.exponents() if e <= got.q_max
-        }
+        _assert_invert_matches_oracle(ring, c, k, u_nil, u_scal, q_max, order)
+
+
+def _edge_nilpotent(rng, ring):
+    """Nilpotent coefficients whose degree-j part has a term at exactly q^-j
+    for every j = 1..D, the lowest exponent the grading bound allows, plus
+    a few terms at q^0..q^3.  The Chow-degree-d part of exp or invert is cut
+    at D - d orders above the target, which leaves no slack here."""
+    D = ring.truncation
+    extra = _graded_nilpotent(rng, ring, rng.sample(range(4), rng.randint(0, 3)))
+    return {**{-j: sample_chow(rng, ring, j) for j in range(1, D + 1)}, **extra}
+
+
+@pytest.mark.parametrize("D", range(1, 7))
+def test_exp_and_invert_at_the_grading_bound(D):
+    rng = Random(1214 + D)
+    ring = Ring([("a", 1), ("b", 2)], D)
+    for q_max, order in ((None, None), (None, 0), (2 * D, None), (D + 2, 1), (3, -1)):
+        for scal in (_scalars(rng) or {1: F(1, 2)}, {}, {}):
+            _assert_exp_matches_oracle(ring, _edge_nilpotent(rng, ring), scal, q_max, order)
+            c, k = rng.choice([F(1), F(-2), F(3, 5)]), rng.randint(-2, 2)
+            u_nil = _edge_nilpotent(rng, ring)
+            _assert_invert_matches_oracle(ring, c, k, u_nil, scal, q_max, order)
 
 
 # -- the integer scalar kernels against the Fraction oracles ------------------------------

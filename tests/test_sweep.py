@@ -11,6 +11,12 @@ the Euler class, the twist ratio, the Todd class, the Hirzebruch class at a
 rational t and at the formal t = exp(-kq), the identity check, the Hodge
 product, the localization product with T != V and with T = V, and both sides
 of the crosscheck.
+
+A second sweep pins ``QSeries.exp`` and ``QSeries.invert`` directly:
+``Random(2019)``, 60 ``sample_ring(max_truncation=4)`` inputs, each a series
+with nilpotent coefficients down to q^-D (as the grading bound allows) and
+0-2 scalars at q^1..q^3, its exp and the inverse of 3 + c q plus the series
+times a power of q, at q_max None, 3 and 8 and at the orders None, 0 and 5.
 """
 
 from fractions import Fraction
@@ -19,6 +25,7 @@ from random import Random
 
 from chloc import (
     LocInput,
+    QSeries,
     crosscheck_factors,
     equivariant_euler,
     euler_identity_check,
@@ -29,9 +36,16 @@ from chloc import (
     todd,
     todd_twist_ratio,
 )
-from chloc.sampling import sample_kclass, sample_ring, sample_weight
+from chloc.sampling import (
+    sample_chow,
+    sample_coefficient,
+    sample_kclass,
+    sample_ring,
+    sample_weight,
+)
 
 SWEEP_SHA256 = "2505475c596ee847e04b3d4f8a4ac2bf86170090860f9c891a3ff5563965e686"
+SERIES_SWEEP_SHA256 = "30153076f47e1a8c6b683813e7e93b72f1a8f1a59f45c493bd2aabf44899ed01"
 
 
 def _identity(x, k):
@@ -70,13 +84,44 @@ def sweep_lines():
         t = Fraction(1)
         while t == 1:
             t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        for result in _results(ring, weighted, t):
-            try:
-                yield str(result())
-            except (ArithmeticError, ValueError) as exc:
-                yield f"{type(exc).__name__}: {exc}"
+        yield from _strings(_results(ring, weighted, t))
+
+
+def _strings(results):
+    for result in results:
+        try:
+            yield str(result())
+        except (ArithmeticError, ValueError) as exc:
+            yield f"{type(exc).__name__}: {exc}"
+
+
+def _nilpotent(rng, ring):
+    """Homogeneous coefficients of degree at least max(1, -e) at q^e, e >= -D."""
+    D = ring.truncation
+    return {e: sample_chow(rng, ring, rng.randint(max(1, -e), D))
+            for e in rng.sample(range(-D, 4), rng.randint(1, D + 3))}
+
+
+def series_lines():
+    rng = Random(2019)
+    for _ in range(60):
+        ring = sample_ring(rng, max_truncation=4)
+        nil = _nilpotent(rng, ring)
+        scal = {e: sample_coefficient(rng) for e in rng.sample(range(1, 4), rng.randint(0, 2))}
+        coeffs = {e: nil.get(e, ring.zero()) + scal.get(e, 0) for e in {*nil, *scal}}
+        for q_max in (None, 3, 8):
+            arg = QSeries(ring, coeffs, q_max)
+            for order in (None, 0, 5):
+                one = QSeries.from_scalars(ring, {0: 3, 1: sample_coefficient(rng)}, q_max)
+                unit = (arg + one).shifted(rng.randint(-2, 2))
+                yield from _strings((lambda: arg.exp(order), lambda: unit.invert(order)))
 
 
 def test_seeded_sweep_is_byte_identical():
     digest = sha256("\n".join(sweep_lines()).encode()).hexdigest()
     assert digest == SWEEP_SHA256
+
+
+def test_seeded_series_sweep_is_byte_identical():
+    digest = sha256("\n".join(series_lines()).encode()).hexdigest()
+    assert digest == SERIES_SWEEP_SHA256
