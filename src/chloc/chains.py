@@ -166,18 +166,17 @@ def symmetry_group(chain: ChainData) -> list[SymmetryElement]:
     exactly when theta_1 = t/p.  So the elements are t = 0 .. p - 1 in
     increasing order of theta_1, which is their sorted order, and every
     entry is some t_j/p with t_{j+1} = -a_j * t_j mod p.  The walk runs on
-    these integers and makes each of the p values ``Fraction(t, p)`` once.
+    these integers one column j at a time over all t, and makes each of the
+    p values ``Fraction(t, p)`` once.
     """
     a = chain.exponents
     p = prod(a)
     frac = [Fraction(t, p) for t in range(p)]
-    out = []
-    for t in range(p):
-        ts = [t]
-        for aj in a[:-1]:
-            ts.append(-aj * ts[-1] % p)
-        out.append(SymmetryElement._reduced(tuple(frac[x] for x in ts)))
-    return out
+    ts, columns = range(p), [frac]
+    for aj in a[:-1]:
+        ts = [-aj * t % p for t in ts]
+        columns.append([frac[t] for t in ts])
+    return [SymmetryElement._reduced(theta) for theta in zip(*columns)]
 
 
 def grading_element(chain: ChainData) -> SymmetryElement:

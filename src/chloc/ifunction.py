@@ -24,13 +24,14 @@ hypergeometric operator
 ``picard_fuchs_check`` verifies this coefficient-wise; see its docstring
 for the recurrence the operator imposes.
 
-Both I_k and every factor of the operator are a scalar times a product of
-linear forms a z + b q, so the module works with that factored form: an
-exact scalar and a map from primitive integer pairs (a, b) to exponents.
 Every b in B_j(k) is n/d with an integer n (d the degree of the chain), so
-each form b z + k_j q is (n z + d k_j q)/d, and its primitive pair and
-content come from one integer gcd; a whole product makes one ``Fraction``
-scalar.  The factored form is expanded into a ``RatFunc`` only for
+each form b z + k_j q is (n z + d k_j q)/d, and I_k is kept raw: the scalar
+-1/((k-1)! d^count), the numerator progression of each variable and the
+z-power 2 - k.  One normalizer turns raw forms into the factored form, an
+exact scalar and a map from primitive integer pairs (a, b) to the exponents
+of the forms a z + b q: each form's primitive pair and content come from
+one integer gcd, and a whole product makes one ``Fraction`` scalar.  The
+factored form is expanded into a ``RatFunc`` only for
 ``ICoefficient.value``, ``big_i_factor`` and the residual of a failed
 Picard-Fuchs item.  That expansion needs no polynomial gcd: the numerator
 and denominator forms are distinct primitive forms, hence coprime, and by
@@ -44,10 +45,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from math import factorial, gcd, lcm, perm
 
 from .chains import ChainData, SymmetryElement, is_calabi_yau, sector, weight_sequence
 from .ratfunc import BivarPoly, RatFunc
+from .rings import _exact
 
 # scalar * prod (a*z + b*q)^e over the items ((a, b), e) of the Counter, where
 # a, b are coprime integers whose first nonzero entry is positive and no e is 0.
@@ -66,6 +69,14 @@ class ICoefficient:
     @property
     def is_broad(self) -> bool:
         return self.sector.is_broad
+
+
+def _require_int(**values) -> None:
+    """Reject a non-``int`` (or ``bool``) argument by name, before it is
+    truncated or fails inside ``range``."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
 def _b_numerators(chain: ChainData, j: int, k: int) -> range:
@@ -89,6 +100,7 @@ def b_range(chain: ChainData, j: int, k: int) -> tuple[Fraction, ...]:
     shifted up while staying below c_j * k; b = 0 is allowed only when
     N - j is odd.
     """
+    _require_int(j=j, k=k)
     if not 1 <= j <= chain.n_variables:
         raise ValueError("variable index out of range")
     return tuple(Fraction(n, chain.degree) for n in _b_numerators(chain, j, k))
@@ -112,62 +124,65 @@ def _linear_form(a, b) -> tuple[Fraction, tuple[int, int]]:
     return Fraction(g, den), key
 
 
-def _i_factored(chain: ChainData, k: int) -> tuple[Factored, tuple[range, ...]]:
-    """I_k in factored form, with the numerators over the degree d of its
-    b-progressions B_j(k)."""
-    d = chain.degree
-    nums = tuple(_b_numerators(chain, j, k) for j in range(1, chain.n_variables + 1))
-    # -z / prod_{0 < b < k} b z = -z^(2-k) / (k-1)!; no k_j is 0, so no form
-    # below is a multiple of z and the key (1, 0) keeps this exponent
-    exps = Counter({(1, 0): 2 - k} if k != 2 else ())
-    content, count = -1, 0
+def _i_raw(chain: ChainData, k: int) -> tuple[Fraction, list[list[int]]]:
+    """I_k raw as (s_k, nums), nums[j] sorted: I_k = s_k z^(2-k) prod_j prod_{n in
+    nums[j]} (n z + d k_j q), s_k = -1/((k-1)! d^count), as b z + k_j q is
+    (n z + d k_j q)/d with d the degree of the chain."""
+    nums = [sorted(_b_numerators(chain, j, k)) for j in range(1, chain.n_variables + 1)]
+    return Fraction(-1, factorial(k - 1) * chain.degree ** sum(map(len, nums))), nums
+
+
+def _normalized(chain: ChainData, scalar: Fraction, z_power: int, nums) -> Factored:
+    """scalar * z^z_power * prod_j prod_{n in nums[j]} (n z + d k_j q), factored
+    by one gcd per form, its content folded into the scalar.  No k_j is 0, so
+    no form is a multiple of z and the key (1, 0) holds z_power alone."""
+    exps = Counter({(1, 0): z_power} if z_power else ())
+    content = 1
     for ns, kj in zip(nums, weight_sequence(chain)):
         for n in ns:
-            # b z + k_j q = (n z + d k_j q) / d
-            g, key = _primitive(n, d * kj)
+            g, key = _primitive(n, chain.degree * kj)
             content *= g
             exps[key] += 1
-            count += 1
-    return (Fraction(content, factorial(k - 1) * d**count), exps), nums
+    return Fraction(content * scalar.numerator, scalar.denominator), exps
 
 
-def _expand(forms, scalar: Fraction) -> BivarPoly:
-    """scalar times the product of the linear forms a*z + b*q over the
-    integer pairs (a, b)."""
-    coeffs = [1]  # coeffs[i] multiplies z^i q^(degree - i)
+def _expand(forms, scalar: Fraction, shift: int = 0) -> BivarPoly:
+    """scalar times z^shift times the product of the linear forms a*z + b*q
+    over the integer pairs (a, b)."""
+    coeffs = [1]  # coeffs[i] multiplies z^(i + shift) q^(degree - i)
     for a, b in forms:
-        nxt = [b * c for c in coeffs] + [0]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += a * c
-        coeffs = nxt
+        coeffs = [b * c + a * c_left for c, c_left in zip(coeffs + [0], [0] + coeffs)]
     deg = len(coeffs) - 1
-    return BivarPoly._raw({(i, deg - i): scalar * c for i, c in enumerate(coeffs) if c})
+    return BivarPoly._raw({(i + shift, deg - i): scalar * c for i, c in enumerate(coeffs) if c})
 
 
 def _to_ratfunc(factored: Factored) -> RatFunc:
     """The factored form expanded, already in canonical form (see the
     module docstring): the exponent map holds each form once, so the
-    numerator and denominator forms are distinct."""
+    numerator and denominator forms are distinct.  The power of z enters
+    as a shift of the monomials."""
     scalar, exps = factored
+    e = exps.get((1, 0), 0)
+    forms = [(key, n) for key, n in exps.items() if key != (1, 0)]
     return RatFunc._raw(
-        _expand((key for key, e in exps.items() for _ in range(e)), scalar),
-        _expand((key for key, e in exps.items() for _ in range(-e)), Fraction(1)),
+        _expand((key for key, n in forms for _ in range(n)), scalar, max(e, 0)),
+        _expand((key for key, n in forms for _ in range(-n)), Fraction(1), max(-e, 0)),
     )
 
 
 def i_coefficient(chain: ChainData, k: int) -> ICoefficient:
     """The coefficient of t^k of the equivariant small I-function."""
+    _require_int(k=k)
     if not is_calabi_yau(chain):
         raise ValueError("the small I-function needs a Calabi-Yau chain")
     if k < 1:
         raise ValueError("the level k must be a positive integer")
-    factored, nums = _i_factored(chain, k)
-    d = chain.degree
+    scalar, nums = _i_raw(chain, k)
     return ICoefficient(
         k=k,
         sector=sector(chain, k),
-        value=_to_ratfunc(factored),
-        b_sets=tuple(tuple(Fraction(n, d) for n in ns) for ns in nums),
+        value=_to_ratfunc(_normalized(chain, scalar, 2 - k, nums)),
+        b_sets=tuple(tuple(Fraction(n, chain.degree) for n in ns) for ns in nums),
     )
 
 
@@ -228,58 +243,43 @@ def picard_fuchs_check(chain: ChainData, k_max: int) -> PFReport:
         prod_{j=1}^{N} prod_{c=0}^{w_j-1} (c_j k z + c z + k_j q) * I_k
             = prod_{c=1}^{d} (k + d - c) z * I_{k+d}.
 
-    Both sides are a scalar times a product of powers of linear forms, each
-    form normalized to a primitive integer pair.  Over the degree d the
-    operator's forms are ((w_j k + c d) z + d k_j q)/d, integer pairs like
-    those of I_k, so each side takes one gcd per form and makes one
-    ``Fraction`` scalar.  Q[z, q] is a unique factorization domain, so the
-    identity holds exactly when the scalars agree and the two multisets of
-    forms (exponent maps) agree; no polynomial is expanded.  Only a failing
-    item expands both sides into rational functions, for its residual
-    lhs - rhs.
+    The operator's forms are ((w_j k + c d) z + d k_j q)/d, raw forms like
+    those of I_k (d the degree), and both sides carry z^(2-k).  So with s_k
+    the raw scalar and N_j(k) the numerators of I_k, the left side is s_k/d^d
+    times the forms over N_j(k) and w_j k + c d (0 <= c < w_j), the right
+    side s_{k+d} (k + d - 1)!/(k - 1)! times those over N_j(k+d).  Equal
+    scalars and equal sorted numerators per variable are equal raw forms,
+    the same polynomial.  Only on a mismatch are both sides normalized and
+    compared as scalars and multisets of primitive forms, which decides the
+    item exactly since Q[z, q] has unique factorization.  Only a failing
+    item is expanded into rational functions, for its residual lhs - rhs.
     """
+    _require_int(k_max=k_max)
     if not is_calabi_yau(chain):
         raise ValueError("the Picard-Fuchs check needs a Calabi-Yau chain")
+    if k_max < 1:
+        raise ValueError("k_max must be a positive integer")
     d = chain.degree
-    # (w_j, c d, d k_j) per factor; sum(w_j) = d factors on a Calabi-Yau chain
-    ops = [
-        (wj, c * d, d * kj)
-        for wj, kj in zip(chain.weights, weight_sequence(chain))
-        for c in range(wj)
-    ]
     d_to_d = d**d
-    coeffs: dict[int, Factored] = {}
+    ic = cache(partial(_i_raw, chain))
 
-    def ic(k: int) -> Factored:
-        if k not in coeffs:
-            coeffs[k] = _i_factored(chain, k)[0]
-        return coeffs[k]
-
-    items = []
-    for m in range(1, k_max + 1):
-        if m <= d:
-            # the c = m factor of the second product is identically zero
-            items.append(PFItem(m=m, ok=True, residual=None))
-            continue
-        k = m - d
-        scalar, exps = ic(k)
-        exps = exps.copy()
-        content = 1
-        for wj, cd, y in ops:
-            g, key = _primitive(wj * k + cd, y)
-            content *= g
-            exps[key] += 1
-        lhs = (Fraction(content * scalar.numerator, scalar.denominator * d_to_d), exps)
-        scalar, exps = ic(k + d)
-        exps = exps.copy()
-        exps[1, 0] += d
-        if not exps[1, 0]:
-            del exps[1, 0]
-        rhs = (scalar * perm(k + d - 1, d), exps)
+    # 1 <= m <= d: the c = m factor of the second product is identically zero
+    items = [PFItem(m=m, ok=True, residual=None) for m in range(1, min(d, k_max) + 1)]
+    for k in range(1, k_max - d + 1):
+        scalar, nums = ic(k)
+        # sum(w_j) = d operator factors on a Calabi-Yau chain
+        lhs = scalar / d_to_d, [
+            sorted([*ns, *range(wj * k, wj * (k + d), d)])
+            for ns, wj in zip(nums, chain.weights)
+        ]
+        scalar, nums = ic(k + d)
+        rhs = scalar * perm(k + d - 1, d), nums
         ok = lhs == rhs
-        items.append(PFItem(
-            m=m, ok=ok, residual=None if ok else _to_ratfunc(lhs) - _to_ratfunc(rhs)
-        ))
+        if not ok:
+            lhs, rhs = (_normalized(chain, s, 2 - k, ns) for s, ns in (lhs, rhs))
+            ok = lhs == rhs
+        residual = None if ok else _to_ratfunc(lhs) - _to_ratfunc(rhs)
+        items.append(PFItem(m=k + d, ok=ok, residual=residual))
     return PFReport(chain=chain, items=tuple(items))
 
 
@@ -296,7 +296,8 @@ def big_i_factor(level: int, omega, weight: int) -> RatFunc:
     omega + m = 0) makes the product 0 for D >= 1 and raises
     ``ZeroDivisionError`` for D <= -1.
     """
-    omega = Fraction(omega)
+    _require_int(level=level, weight=weight)
+    omega = _exact(omega)
     sign = 1 if level >= 0 else -1
     scalar, exps = Fraction(1), Counter()
     # omega + m over m = 0 .. D-1, or over m = D .. -1 for D <= -1

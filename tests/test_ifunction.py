@@ -6,7 +6,7 @@ from math import floor, perm
 import pytest
 
 from chloc import ifunction
-from chloc.ifunction import _i_factored, _linear_form
+from chloc.ifunction import _i_raw, _linear_form, _normalized
 from oracles import i_value_product, pf_cross_multiply
 from chloc import (
     BivarPoly,
@@ -204,6 +204,25 @@ def test_pf_rejects_non_cy():
         picard_fuchs_check(chain_solve([3, 2]), 5)
 
 
+def test_levels_must_be_positive_ints():
+    # a check up to t^0 would pass having checked nothing; a float or a bool
+    # level would be truncated or fail inside range without naming itself
+    chain = chain_solve([2, 2, 3])
+    for k_max in (0, -3):
+        with pytest.raises(ValueError, match="k_max"):
+            picard_fuchs_check(chain, k_max)
+    for bad in (True, 2.0, F(2), "2"):
+        with pytest.raises(TypeError, match="k_max must be an int"):
+            picard_fuchs_check(chain, bad)
+        with pytest.raises(TypeError, match="k must be an int"):
+            i_coefficient(chain, bad)
+        with pytest.raises(TypeError, match="k must be an int"):
+            b_range(chain, 1, bad)
+        with pytest.raises(TypeError, match="j must be an int"):
+            b_range(chain, bad, 2)
+    assert len(picard_fuchs_check(chain, 1).items) == 1
+
+
 def test_pf_operator_factor_counts():
     # the first product carries one factor per (variable, 0 <= c < weight),
     # the second one per 1 <= c <= degree; on a Calabi-Yau chain they agree
@@ -226,6 +245,21 @@ def test_big_i_factor_cases():
     assert big_i_factor(-2, F(3), 1) == 1 / RatFunc.from_poly(
         (2 * z + q) * (z + q)
     )
+
+
+def test_big_i_factor_rejects_inexact_arguments():
+    # a float shift would enter as its binary value, a non-integer weight
+    # would pass unnoticed
+    with pytest.raises(TypeError, match="float"):
+        big_i_factor(1, 0.1, 1)
+    with pytest.raises(TypeError, match="weight must be an int"):
+        big_i_factor(1, F(1, 2), 2.5)
+    for bad in (True, F(2), 2.0):
+        with pytest.raises(TypeError, match="weight must be an int"):
+            big_i_factor(1, 0, bad)
+        with pytest.raises(TypeError, match="level must be an int"):
+            big_i_factor(bad, 0, 1)
+    assert big_i_factor(1, 1, -1) == RatFunc.from_poly(BivarPoly.linear(1, -1))
 
 
 def test_big_i_factor_zero_form():
@@ -317,19 +351,69 @@ def test_perturbed_b_range_fails_both_checks(monkeypatch):
 
 
 def test_perturbed_scalar_fails_factored_check(monkeypatch):
-    # equal multisets of forms with different scalars are not equal
+    # equal raw forms with different scalars are not equal, raw or normalized
     chain = chain_solve([2, 2, 3])
-    original = ifunction._i_factored
+    original = ifunction._i_raw
 
     def perturbed(chain_, k):
-        (scalar, exps), b_sets = original(chain_, k)
-        return (2 * scalar if k == 7 else scalar, exps), b_sets
+        scalar, nums = original(chain_, k)
+        return 2 * scalar if k == 7 else scalar, nums
 
-    monkeypatch.setattr(ifunction, "_i_factored", perturbed)
+    monkeypatch.setattr(ifunction, "_i_raw", perturbed)
     report = picard_fuchs_check(chain, chain.degree + 16)
     assert [item.m for item in report.failures()] == [7, 7 + chain.degree]
     for item in report.failures():
         assert isinstance(item.residual, RatFunc) and not item.residual.is_zero
+
+
+@pytest.mark.parametrize("rescale", [True, False])
+def test_raw_mismatch_is_decided_on_normalized_forms(monkeypatch, rescale):
+    # on (2, 2, 3), d = 3 and variables 1 and 3 have the forms n z + 3q and
+    # n z + 12q; in I_7 the form n = 1 of variable 1 moves to variable 3 as
+    # 4z + 12q = 4 (z + 3q).  With the scalar divided by 4, I_7 is the same
+    # polynomial with other raw forms: the raw comparison fails at m = 7 and
+    # m = 10 and the normalized one must pass them.  Without, both fail.
+    chain = chain_solve([2, 2, 3])
+    assert weight_sequence(chain)[:3] == (1, -2, 4)
+    original = ifunction._i_raw
+
+    def moved(chain_, k):
+        scalar, nums = original(chain_, k)
+        if k != 7:
+            return scalar, nums
+        first, second, third = nums
+        assert first[0] == 1
+        return scalar / 4 if rescale else scalar, [first[1:], second, sorted(third + [4])]
+
+    normalized = []
+    original_normalized = ifunction._normalized
+    monkeypatch.setattr(ifunction, "_i_raw", moved)
+    monkeypatch.setattr(ifunction, "_normalized",
+                        lambda *args: normalized.append(1) or original_normalized(*args))
+    report = picard_fuchs_check(chain, chain.degree + 16)
+    assert len(normalized) == 4  # both sides of m = 7 and of m = 10
+    if rescale:
+        assert report.all_ok and all(item.residual is None for item in report.items)
+    else:
+        assert [item.m for item in report.failures()] == [7, 7 + chain.degree]
+        assert all(not item.residual.is_zero for item in report.failures())
+
+
+def test_pf_check_normalizes_no_form_on_true_chains(monkeypatch):
+    # equal raw forms decide every step; before they did, the 21 chains up to
+    # t^(degree + 16) normalized 9,072 forms, one gcd (``_primitive``) each
+    calls = []
+    original = ifunction._primitive
+    monkeypatch.setattr(ifunction, "_primitive", lambda x, y: calls.append(1) or original(x, y))
+    chains = list(_cy_chains())
+    assert len(chains) == 21
+    for a in chains:
+        chain = chain_solve(a)
+        assert picard_fuchs_check(chain, chain.degree + 16).all_ok, a
+    assert len(calls) == 0
+    # the normalizer itself still takes one gcd per form
+    ic = i_coefficient(chain_solve([2, 2, 3]), 7)
+    assert len(calls) == sum(map(len, ic.b_sets)) == 6
 
 
 def test_linear_form_normalization():
@@ -351,6 +435,11 @@ def test_linear_form_normalization():
 
 def test_i_factored_spot_values_223():
     chain = chain_solve([2, 2, 3])
-    # I_2 = -1: the z^0 is dropped; I_3 = q/z carries a pure-q form (b = 0)
-    assert _i_factored(chain, 2)[0] == (F(-1), Counter())
-    assert _i_factored(chain, 3)[0] == (F(1), Counter({(0, 1): 1, (1, 0): -1}))
+    # I_2 = -1: no form and the z^0 is dropped
+    scalar, nums = _i_raw(chain, 2)
+    assert (scalar, nums) == (F(-1), [[], [], []])
+    assert _normalized(chain, scalar, 0, nums) == (F(-1), Counter())
+    # I_3 = -1/6 (0 z - 6q)/z = q/z carries a pure-q form (b = 0)
+    scalar, nums = _i_raw(chain, 3)
+    assert (scalar, nums) == (F(-1, 6), [[], [0], []])
+    assert _normalized(chain, scalar, -1, nums) == (F(1), Counter({(0, 1): 1, (1, 0): -1}))
