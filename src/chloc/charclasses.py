@@ -36,18 +36,18 @@ nonzero weight.  A product of Euler classes alone is an exact Laurent
 polynomial; given a ``target`` order, the entry picks the working order
 at which the product is reliable up to q^target.
 
-Each row phi_l is a :class:`~chloc.series.ScalarSeries` (integer numerators
-over one denominator), built on the integer scalar kernels.  At weight k a
-row is the weight-1 row with q -> kq (k^e times its coefficient at q^e), so
-each kind keeps one store of weight-1 rows, built on first use and rebuilt
-when a call needs a larger D or order (row l does not depend on D, and a
-row at a lower order is a prefix of one at a higher order); k enters only
-the accumulate of the argument.  At t = exp(-q) the Hirzebruch rows need no
-series t: u = t/(1-t) = 1/(e^q-1) = sum_n B_n(0) q^{n-1}/n!, taken up to
-q^{order+D+1} and fed to the same Stirling sum as for any other t.  Ch_l is
-homogeneous of degree l, so sum_x phi_l^x(kq) Ch_l(x) is the Chow-degree-l
-part of a summed argument, one integer accumulate handed to the graded exp
-of :mod:`chloc.series` with no split into degrees.
+Rows live in the regraded frame of :mod:`chloc.series`: row l is the power
+series psi_l = q^l phi_l, a :class:`~chloc.series.ScalarSeries` (integer
+numerators over one denominator).  Euler rows are the constants
+(-1)^(l+1) (l-1)!; the Hirzebruch rows at every t are one Stirling sum over
+the powers of w = q t/(1-t), which is sum_n B_n(0) q^n/n! at t = exp(-q).
+At weight k, phi_l(kq) scales the coefficient of psi_l at q^r by k^(r-l),
+so each kind keeps one store of weight-1 rows, built on first use and
+rebuilt when a call needs a larger D or order (row l does not depend on D,
+and a row at a lower order is a prefix of one at a higher order).  Ch_l is
+homogeneous of degree l, so sum_x psi_l^x Ch_l(x) is the regraded
+Chow-degree-l part of a summed argument: one integer accumulate, read to
+the one regraded order of the graded exp of :mod:`chloc.series`.
 
 Bernoulli values follow the B_1(0) = -1/2 convention (Bernoulli polynomial
 at 0), which is the one compatible with Td(L) = c_1 / (1 - exp(-c_1)).
@@ -61,19 +61,20 @@ from functools import lru_cache, partial
 from math import comb, factorial, gcd, inf, lcm, prod
 from typing import Callable, Iterable, Sequence
 
-from .rings import ChowElement, Ring, common_den
+from .rings import ChowElement, Ring, _q_max_or, _require_int, common_den
 from .series import (
     Part,
     QSeries,
     ScalarSeries,
     _exp,
+    _order,
     compute_at_precision,
     scalar_invert,
     scalar_mul,
     scalar_pow,
 )
 
-# phi_0..phi_D, the scalar series multiplying Ch_l (Ch_0 = rank), ascending
+# psi_0..psi_D, psi_l = q^l phi_l for the series phi_l multiplying Ch_l (Ch_0 = rank)
 Rows = tuple[ScalarSeries, ...]
 
 _ZERO = ScalarSeries({})
@@ -104,9 +105,9 @@ def stirling2(l: int, k: int) -> int:
 
 
 def _hirzebruch_table(t, D: int) -> tuple[Rows, int | None, ScalarSeries]:
-    """c_t: phi_l = -s_l(t) (see :func:`hirzebruch_coefficient`) through the
-    powers of u = t/(1-t); the order it is reliable to (None for rational
-    t); and 1 - t, the root of the rank factor."""
+    """c_t: psi_l = -q^l s_l(t) (see :func:`hirzebruch_coefficient`) through
+    the powers of w = q t/(1-t); the order the phi_l are reliable to (None
+    for rational t); and 1 - t, the root of the rank factor."""
     if isinstance(t, QSeries):
         if t.q_max is None:
             raise ValueError("formal t must carry a finite truncation order")
@@ -114,34 +115,36 @@ def _hirzebruch_table(t, D: int) -> tuple[Rows, int | None, ScalarSeries]:
         one_minus = ScalarSeries.reduced({e: -v for e, v in data.num.items() if e}, data.den)
         if nil or data.get(0) != 1 or min(one_minus.num, default=0) != 1:
             raise ValueError("formal t must be a scalar 1 + O(q) with an invertible q-term")
-        u = scalar_mul(data, scalar_invert(one_minus, order), order)
-        valid = order - 1 - D
-    else:
-        t = Fraction(t)
-        if t == 1:
-            raise ValueError("the Hirzebruch class is undefined at t = 1")
-        one_minus, u = ScalarSeries.of({0: 1 - t}), ScalarSeries.of({0: t / (1 - t)})
-        order = valid = None
-    return _stirling_rows(u, D, order), valid, one_minus
+        # (1 - t)/q and so w are known to q^(order - 1)
+        over_q = ScalarSeries({e - 1: v for e, v in one_minus.num.items()}, one_minus.den)
+        w = scalar_mul(data, scalar_invert(over_q, order - 1), order - 1)
+        return _stirling_rows(w, D, order - 1), order - 1 - D, one_minus
+    t = Fraction(t)
+    if t == 1:
+        raise ValueError("the Hirzebruch class is undefined at t = 1")
+    w, one_minus = ScalarSeries.of({1: t / (1 - t)}), ScalarSeries.of({0: 1 - t})
+    return _stirling_rows(w, D, None), None, one_minus
 
 
-def _stirling_rows(u: ScalarSeries, D: int, cutoff: int | None) -> Rows:
-    """phi_0 = 0 and phi_l = -s_l(t) for l = 1..D, each on one denominator in
-    ascending exponent order, from the powers of u = t/(1-t) cut at q^cutoff:
-    s_l(t) = B_l(0)/l + (-1)^l sum_{k=1}^{l} (k-1)! S(l, k) u^k."""
-    powers = [ScalarSeries({0: 1}), u]
+def _stirling_rows(w: ScalarSeries, D: int, cutoff: int | None) -> Rows:
+    """psi_0 = 0 and psi_l = -q^l s_l(t) for l = 1..D, each on one
+    denominator in ascending exponent order and cut at q^cutoff (None keeps
+    all), from the powers of the power series w = q t/(1-t):
+    q^l s_l(t) = B_l(0)/l q^l + (-1)^l sum_{k=1}^{l} (k-1)! S(l, k) q^(l-k) w^k."""
+    powers = [ScalarSeries({0: 1}), w]
     for k in range(2, D + 1):
-        powers.append(scalar_mul(powers[k - 1], u, cutoff))
+        powers.append(scalar_mul(powers[k - 1], w, cutoff))
     rows = [_ZERO]
     for l in range(1, D + 1):
         b = bernoulli(l) / l
         den = lcm(b.denominator, common_den(p.den for p in powers[1 : l + 1]))
-        num = {0: -b.numerator * (den // b.denominator)}
+        num = {l: -b.numerator * (den // b.denominator)}
         for k in range(1, l + 1):
             f = (-1) ** (l + 1) * factorial(k - 1) * stirling2(l, k) * (den // powers[k].den)
             for e, v in powers[k].num.items():
-                num[e] = num.get(e, 0) + f * v
-        rows.append(ScalarSeries.reduced(dict(sorted(num.items())), den))
+                num[e + l - k] = num.get(e + l - k, 0) + f * v
+        kept = sorted((e, v) for e, v in num.items() if cutoff is None or e <= cutoff)
+        rows.append(ScalarSeries.reduced(dict(kept), den))
     return tuple(rows)
 
 
@@ -157,7 +160,7 @@ def hirzebruch_coefficient(l: int, t):
     if l < 1:
         raise ValueError("index must be positive")
     table, valid, _ = _hirzebruch_table(t, l)
-    s = -table[l]
+    s = {e - l: -v for e, v in table[l].items()}
     if isinstance(t, QSeries):
         return QSeries.from_scalars(t.ring, s, valid)
     return s.get(0, Fraction(0))
@@ -169,7 +172,7 @@ def hirzebruch_coefficient(l: int, t):
 class _RowStore:
     """The weight-1 rows of one kind, built by ``build(D, order)`` on first
     use and rebuilt at the larger size when a call asks for a larger D or
-    order; a call gets the rows phi_0..phi_D."""
+    order; a call gets the rows psi_0..psi_D."""
 
     def __init__(self, build: Callable[[int, int], Rows]):
         self.build, self.D, self.order, self.rows = build, -1, -1, ()
@@ -182,34 +185,31 @@ class _RowStore:
 
 
 def _euler_rows(D: int, order: int) -> Rows:
-    """e_q: phi_l = -(l-1)!/(-q)^l, one term at q^-l, at every order."""
-    return _ZERO, *(ScalarSeries({-l: (-1) ** (l + 1) * factorial(l - 1)})
+    """e_q: phi_l = -(l-1)!/(-q)^l, so psi_l = (-1)^(l+1) (l-1)!, a constant
+    at every order."""
+    return _ZERO, *(ScalarSeries({0: (-1) ** (l + 1) * factorial(l - 1)})
                     for l in range(1, D + 1))
 
 
 def _todd_rows(first: int, D: int, order: int) -> Rows:
-    """phi_j = -sum_{n=first}^{order} B_{n+j}(0)/(n+j) q^n/n! over n+j >= 1:
-    the equivariant Todd class Td(x (x) O(q)) for first = 0, the twist
-    ratio Td(x (x) O(q)) / Td(x) for first = 1."""
-    return tuple(ScalarSeries.of((n, -bernoulli(n + j) / (n + j) / factorial(n))
-                                 for n in range(max(first, 1 - j), order + 1))
+    """psi_j = -sum_{r=j+first}^{order} B_r(0)/r q^r/(r-j)! over r >= 1 (phi_j =
+    -sum_{n>=first} B_{n+j}(0)/(n+j) q^n/n!): the equivariant Todd class
+    Td(x (x) O(q)) for first = 0, the twist ratio Td(x (x) O(q))/Td(x) for first = 1."""
+    return tuple(ScalarSeries.of((r, -bernoulli(r) / r / factorial(r - j))
+                                 for r in range(max(j + first, 1), order + 1))
                  for j in range(D + 1))
 
 
-def _reciprocal_expm1(cutoff: int) -> ScalarSeries:
-    """u = t/(1-t) = 1/(e^q-1) = sum_n B_n(0) q^{n-1}/n! at t = exp(-q), to q^cutoff."""
-    return ScalarSeries.of((n - 1, bernoulli(n) / factorial(n)) for n in range(cutoff + 2))
+def _bernoulli_w(order: int) -> ScalarSeries:
+    """w = q t/(1-t) = q/(e^q-1) = sum_n B_n(0) q^n/n! at t = exp(-q), to q^order."""
+    return ScalarSeries.of((n, bernoulli(n) / factorial(n)) for n in range(order + 1))
 
 
 def _exp_hirzebruch_rows(D: int, order: int) -> Rows:
     """c_t at t = exp(-q) for the rank factor q^rank, up to ``order``: the
     rank row log((1 - exp(-q))/q), minus that of the twist, and the Stirling
-    sums phi_l = -s_l(t) over the powers of u, which lose up to D + 1 orders."""
-    cutoff = order + D + 1
-    rows = _stirling_rows(_reciprocal_expm1(cutoff), D, cutoff)[1:]
-    return -_todd_rows(1, 0, order)[0], *(
-        ScalarSeries.reduced({e: v for e, v in phi.num.items() if e <= order}, phi.den)
-        for phi in rows)
+    sums psi_l = -q^l s_l(t) over the powers of w."""
+    return -_todd_rows(1, 0, order)[0], *_stirling_rows(_bernoulli_w(order), D, order)[1:]
 
 
 _EULER = _RowStore(_euler_rows)
@@ -221,39 +221,39 @@ _HIRZEBRUCH = _RowStore(_exp_hirzebruch_rows)
 def _argument(
     ring: Ring, terms: Iterable[tuple["KClass", int, Rows]], q_max: int | None = None
 ) -> tuple[ScalarSeries, dict[int, Part]]:
-    """sum over (x, k, rows) of sum_l phi_l(kq) * Ch_l(x), with Ch_0 = rank,
-    dropping exponents above q_max, as its scalar part (the rank rows) and
-    its nonzero Chow-degree-l parts (the rows phi_l against Ch_l), in the
-    form the graded exp takes.  Each part is one integer accumulate
-    acc[e][i] += f * v * k^(e+P) * a of row and Chow numerators on one
-    denominator, each class against its own rows: the argument is additive
-    in x.  The weight enters only here, as q -> kq, with the denominator k^P
-    for a row with poles down to q^-P, and each part is divided by the
-    content this scaling leaves.  Rows ascend, so each stops at q_max (at
-    weight 0, after q^0)."""
+    """sum over (x, k, rows) of sum_l q^l phi_l(kq) * Ch_l(x), with Ch_0 =
+    rank, in the regraded frame and cut at q^q_max there, as its scalar part
+    (the rank rows) and its nonzero Chow-degree-l parts (the rows psi_l
+    against Ch_l), in the form the graded exp takes.  Each part is one
+    integer accumulate acc[r][i] += f * v * k^(r-l+P) * a of row and Chow
+    numerators on one denominator, each class against its own rows: the
+    argument is additive in x.  The weight enters only here, as q -> kq,
+    with the denominator k^P for a row starting at q^(l-P), and each part is
+    divided by the content this scaling leaves.  Rows ascend, so each stops
+    at q_max (at weight 0, after q^l)."""
     by_degree: dict[int, list[tuple[ScalarSeries, int, int, ChowElement]]] = {}
     for x, k, rows in terms:
         if x.ring != ring:
             raise ValueError("ring mismatch")
-        for l, phi in enumerate(rows):
+        for l, psi in enumerate(rows):
             c = ring.const(x.rank) if l == 0 else x.chern_character(l)
-            if phi and c:
-                by_degree.setdefault(l, []).append((phi, k, max(-next(iter(phi.num)), 0), c))
+            if psi and c:
+                by_degree.setdefault(l, []).append((psi, k, max(l - next(iter(psi.num)), 0), c))
     top = inf if q_max is None else q_max
     powers: dict[int, list[int]] = {}  # k -> [k^0, k^1, ...]
     parts: dict[int, Part] = {}
     for l, items in by_degree.items():
-        den = common_den(phi.den * abs(k**P) * c._den for phi, k, P, c in items)
+        den = common_den(psi.den * abs(k**P) * c._den for psi, k, P, c in items)
         acc: dict[int, dict[int, int]] = {}
-        for phi, k, P, c in items:
-            f, stop = den // (phi.den * k**P * c._den), top if k else min(top, 0)
+        for psi, k, P, c in items:
+            f, stop = den // (psi.den * k**P * c._den), top if k else min(top, l)
             pw = powers.setdefault(k, [1])
-            for _ in range(len(pw), min(stop, next(reversed(phi.num))) + P + 1):
+            for _ in range(len(pw), min(stop, next(reversed(psi.num))) - l + P + 1):
                 pw.append(pw[-1] * k)
-            for e, v in phi.num.items():
-                if e > stop:
+            for r, v in psi.num.items():
+                if r > stop:
                     break
-                out, fv = acc.setdefault(e, {}), f * v * pw[e + P]
+                out, fv = acc.setdefault(r, {}), f * v * pw[r - l + P]
                 for i, a in c._num.items():
                     out[i] = out.get(i, 0) + fv * a
         g = gcd(den, *(gcd(*row.values()) for row in acc.values()))
@@ -262,16 +262,6 @@ def _argument(
             parts[l] = (acc, den // g)
     num, den = parts.pop(0, ({}, 1))
     return ScalarSeries.reduced({e: row[0] for e, row in num.items()}, den), parts
-
-
-def _log_linear(ring: Ring, terms: Iterable[tuple["KClass", int, Rows]], q_max: int | None = None,
-                order: int | None = None, rank: ScalarSeries | None = None) -> QSeries:
-    """The multiplicative class rank * exp(A) for the argument A of
-    :func:`_argument` (reliable up to q_max, None: exact), with exp(A)
-    reliable up to ``order`` at most.  The coefficients of A at q^0 and at
-    poles must be nilpotent; ``rank`` is an exact scalar series (None
-    stands for 1)."""
-    return _exp(ring, *_argument(ring, terms, q_max), q_max, order, rank)
 
 
 def _weighted_product(
@@ -291,11 +281,14 @@ def _weighted_product(
     classes allow; otherwise it is reliable up to q^target.
 
     This is where every working order comes from.  The rank factor is
-    c q^rho, so the exp must be reliable to target - rho; exp loses D + 1
-    orders below its poles, so the rows are read to target - rho + D + 1.
+    c q^rho, so the exp must be reliable to target - rho, and it cuts every
+    part at the one regraded order target - rho + D: the rows are read to
+    that order.
     """
     D = ring.truncation
-    ranked = [(x.rank, int(k)) for x, k in [*euler, *hirzebruch]]
+    for _, k in [*euler, *hirzebruch, *todd, *twist]:
+        _require_int(weight=k)
+    ranked = [(x.rank, k) for x, k in [*euler, *hirzebruch]]
     if any(k == 0 for _, k in ranked):
         raise ValueError("equivariant weight must be nonzero")
     rho = sum(r for r, _ in ranked)
@@ -304,17 +297,18 @@ def _weighted_product(
     rank = ScalarSeries.reduced({rho: num}, den)
 
     def at(order: int | None) -> QSeries:
-        terms = [(x, int(k), _EULER(D)) for x, k in euler]
-        terms += [(x, int(k), _HIRZEBRUCH(D, order)) for x, k in hirzebruch]
-        terms += [(x, int(k), _TODD(D, order)) for x, k in todd]
-        terms += [(x, int(k), _TWIST(D, order)) for x, k in twist]
-        return _log_linear(ring, terms, order, None if order is None else target - rho, rank)
+        terms = [(x, k, _EULER(D)) for x, k in euler]
+        terms += [(x, k, _HIRZEBRUCH(D, order)) for x, k in hirzebruch]
+        terms += [(x, k, _TODD(D, order)) for x, k in todd]
+        terms += [(x, k, _TWIST(D, order)) for x, k in twist]
+        top = None if order is None else order - D
+        return _exp(ring, *_argument(ring, terms, order), top, rank)
 
     if target is None:
         if hirzebruch or todd or twist:
             raise ValueError("only a product of Euler classes is exact")
         return at(None)
-    return compute_at_precision(at, target, D + 1 - rho)
+    return compute_at_precision(at, target, D - rho)
 
 
 class KClass:
@@ -341,8 +335,9 @@ class KClass:
                 raise ValueError("ring mismatch")
             if not c.is_homogeneous(l):
                 raise ValueError(f"Ch_{l} must be homogeneous of degree {l}")
+        _require_int(rank=rank)
         self.ring = ring
-        self.rank = int(rank)
+        self.rank = rank
         self.ch = tuple(padded)
 
     @classmethod
@@ -425,7 +420,8 @@ def sum_of_roots(ring: Ring, alphas: Iterable[ChowElement]) -> KClass:
 
 def todd(x: KClass) -> ChowElement:
     """Todd class, exp(-sum_{l>=1} B_l(0)/l * Ch_l(x)); Td(L) = 1 + c/2 + c^2/12 + ..."""
-    return _log_linear(x.ring, [(x, 0, _TODD(x.ring.truncation))]).coefficient(0)
+    D = x.ring.truncation
+    return _exp(x.ring, *_argument(x.ring, [(x, 0, _TODD(D, D))]), None).coefficient(0)
 
 
 def hirzebruch_class(t, x: KClass, q_max: int | None = None):
@@ -444,17 +440,18 @@ def hirzebruch_class(t, x: KClass, q_max: int | None = None):
         raise ValueError("ring mismatch")
     table, valid, one_minus = _hirzebruch_table(t, ring.truncation)
     if not formal:
-        rank = ScalarSeries.of({0: one_minus[0] ** x.rank})
-        return _log_linear(ring, [(x, 1, table)], rank=rank).coefficient(0)
+        exp = _exp(ring, *_argument(ring, [(x, 1, table)]), None).coefficient(0)
+        return exp * one_minus[0] ** x.rank
     order = t.q_max
-    out_order = order if q_max is None else min(int(q_max), order)
+    out_order = min(_q_max_or(q_max, order), order)
     if x.rank >= 0:
         rank_data, rank_valid = scalar_pow(one_minus, x.rank, out_order), out_order
     else:
         rank_data = scalar_pow(scalar_invert(one_minus, order), -x.rank, out_order)
         rank_valid = min(order - 1 + x.rank, out_order)
     rank = QSeries.from_scalars(ring, rank_data, rank_valid)
-    return rank * _log_linear(ring, [(x, 1, table)], valid, out_order)
+    scal, nil = _argument(ring, [(x, 1, table)])
+    return rank * _exp(ring, scal, nil, _order(ring, nil, out_order, valid, 0, -1))
 
 
 def equivariant_euler(x: KClass, weight: int) -> QSeries:
@@ -478,7 +475,7 @@ def todd_twist_ratio(x: KClass, weight: int, q_max: int | None = None) -> QSerie
     for a trivial line it is k q / (1 - exp(-k q)) = 1 + kq/2 + (kq)^2/12 - ...
     """
     ring = x.ring
-    target = ring.q_max if q_max is None else int(q_max)
+    target = _q_max_or(q_max, ring.q_max)
     if target < 1:
         return QSeries.one(ring).truncated(max(target, 0))
     return _weighted_product(ring, target, twist=[(x, weight)])
@@ -504,7 +501,7 @@ def euler_identity_check(
     at t = exp(-kq) and the twist argument B, whose rank rows cancel: the
     two rank factors multiply to (kq)^rank exactly."""
     ring = x.ring
-    target = ring.q_max if q_max is None else int(q_max)
+    target = _q_max_or(q_max, ring.q_max)
     lhs = equivariant_euler(x, weight)
     rhs = _weighted_product(ring, target, hirzebruch=[(x, weight)], twist=[(x, weight)])
     diff = (lhs - rhs).truncated(target)

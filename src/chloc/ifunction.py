@@ -50,7 +50,7 @@ from math import factorial, gcd, lcm, perm
 
 from .chains import ChainData, SymmetryElement, is_calabi_yau, sector, weight_sequence
 from .ratfunc import BivarPoly, RatFunc
-from .rings import _exact
+from .rings import _exact, _require_int
 
 # scalar * prod (a*z + b*q)^e over the items ((a, b), e) of the Counter, where
 # a, b are coprime integers whose first nonzero entry is positive and no e is 0.
@@ -69,14 +69,6 @@ class ICoefficient:
     @property
     def is_broad(self) -> bool:
         return self.sector.is_broad
-
-
-def _require_int(**values) -> None:
-    """Reject a non-``int`` (or ``bool``) argument by name, before it is
-    truncated or fails inside ``range``."""
-    for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
 def _b_numerators(chain: ChainData, j: int, k: int) -> range:

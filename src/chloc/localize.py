@@ -35,7 +35,7 @@ from math import gcd
 
 from .chains import ChainData, weight_sequence
 from .charclasses import KClass, _weighted_product
-from .rings import ChowElement, Ring
+from .rings import ChowElement, Ring, _q_max_or, _require_int
 from .series import QSeries
 
 WeightedClass = tuple[KClass, int]
@@ -59,12 +59,14 @@ class LocInput:
     chain: ChainData | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "pushed", tuple((r, int(k)) for r, k in self.pushed))
+        object.__setattr__(self, "pushed", tuple(self.pushed))
+        _require_int(hodge_weight=self.hodge_weight)
         if self.hodge.ring != self.ring:
             raise ValueError("ring mismatch for the Hodge class")
         if self.hodge_weight == 0:
             raise ValueError("weights must be nonzero")
         for r, k in self.pushed:
+            _require_int(weight=k)
             if r.ring != self.ring:
                 raise ValueError("ring mismatch in the pushed classes")
             if k == 0:
@@ -142,7 +144,7 @@ def localization_product(
     less each entry of T equal to one of V, whose Todd classes cancel.
     """
     ring = hodge.ring
-    target = ring.q_max if q_max is None else int(q_max)
+    target = _q_max_or(q_max, ring.q_max)
     euler = [(hodge, -hodge_weight), *v, *((-x, k) for x, k in n)]
     todd, v_left = [], list(v)
     for w in t:  # an entry of T equal to one of V cancels that V's Todd class
@@ -217,7 +219,7 @@ def crosscheck_factors(
     limits agree, and whether each side's negative coefficients lie in the
     rational span of the other's within each fixed Chow degree.
     """
-    target = ring.q_max if q_max is None else int(q_max)
+    target = _q_max_or(q_max, ring.q_max)
     D = ring.truncation
     # both sides have the rank factor prod (kq)^rank
     side_a = _weighted_product(ring, euler=factors)

@@ -109,6 +109,22 @@ def _exact(c) -> Scalar:
     return c
 
 
+def _require_int(**values) -> None:
+    """Reject a non-``int`` (or ``bool``) argument by name, before it is
+    truncated or fails inside ``range``."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
+def _q_max_or(q_max: int | None, default: int) -> int:
+    """The requested order ``q_max``, which must be an int, or ``default`` for None."""
+    if q_max is None:
+        return default
+    _require_int(q_max=q_max)
+    return q_max
+
+
 def common_den(dens: Iterable[int]) -> int:
     """The lcm, pairwise: ``lcm(*generator)`` resizes its argument tuple, which
     moves tuples between CPython's per-size free lists and grows the heap."""
@@ -167,7 +183,8 @@ class Ring:
         q_max: int | None = None,
     ):
         names = tuple(str(n) for n, _ in generators)
-        degrees = tuple(int(d) for _, d in generators)
+        degrees = tuple(d for _, d in generators)
+        _require_int(truncation=truncation, **{f"degree of {n}": d for n, d in generators})
         for n in names:
             if not _NAME_OK.match(n):
                 raise ValueError(f"invalid generator name {n!r}")
@@ -180,8 +197,8 @@ class Ring:
             raise ValueError("truncation order must be non-negative")
         self.names = names
         self.degrees = degrees
-        self.truncation = int(truncation)
-        self.q_max = 2 * self.truncation + 2 if q_max is None else int(q_max)
+        self.truncation = truncation
+        self.q_max = _q_max_or(q_max, 2 * truncation + 2)
         self._index = {n: i for i, n in enumerate(names)}
         self._mono = _monomial_table(degrees, self.truncation)
 

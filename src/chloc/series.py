@@ -14,12 +14,14 @@ Truncation bookkeeping:
   by a series of negative valuation lowers the reliable order;
 * invert / exp: coefficients with poles in q are nilpotent, and they obey
   the grading bound: a coefficient at q^-e has Chow degree at least e.
-  Under that bound a product with a degree-j part moves a term down by at
-  most j, so when poles are present these operations read the input to
-  D + 1 orders above the target, lower the reported order by the same
-  amount, and cut the Chow-degree-d part of the result at D - d orders
-  above the target.  A truncated result of a series that breaks the bound
-  is refused with ValueError;
+  So the regrading q^e m -> q^(e + deg m) m, a ring automorphism (degrees
+  add under products, and the truncation goes by degree), takes the input
+  to a power series.  Both operations run there and cut every Chow-degree
+  part F_d of the result at the one order top + D; moved back by d, F_d is
+  exact to q^(top + D - d).  They report the order top of one rule: D + 1
+  orders below the input's when a nilpotent term sits below q^0 (for
+  invert, at or below the leading term), else the input's.  A series that
+  breaks the bound is refused with ValueError when the result is cut;
 * compute_at_precision: a caller that knows the order it needs derives the
   working order once and asks for it; a result short of the target raises
   ArithmeticError.
@@ -57,7 +59,8 @@ from fractions import Fraction
 from math import factorial, gcd, perm
 from typing import Callable
 
-from .rings import ChowElement, Ring, Scalar, _exact, common_den, multiply_accumulate
+from .rings import ChowElement, Ring, Scalar, _exact, _q_max_or, _require_int
+from .rings import common_den, multiply_accumulate
 
 # Chow-valued numerators {exponent: {monomial index: numerator}} over one
 # positive denominator.
@@ -135,7 +138,7 @@ class QSeries:
     def __init__(self, ring: Ring, coeffs: Mapping[int, ChowElement], q_max: int | None = None):
         clean: dict[int, ChowElement] = {}
         for e, c in coeffs.items():
-            e = int(e)
+            _require_int(exponent=e)
             if c.ring != ring:
                 raise ValueError("coefficient ring mismatch")
             if q_max is not None and e > q_max:
@@ -218,11 +221,13 @@ class QSeries:
     # -- truncation helpers ------------------------------------------------------
 
     def truncated(self, q_max: int) -> "QSeries":
+        _require_int(q_max=q_max)
         eff = q_max if self.q_max is None else min(q_max, self.q_max)
         return QSeries._raw(self.ring, {e: c for e, c in self._coeffs.items() if e <= eff}, eff)
 
     def shifted(self, k: int) -> "QSeries":
         """Multiply by q^k."""
+        _require_int(k=k)
         q_max = None if self.q_max is None else self.q_max + k
         return QSeries._raw(self.ring, {e + k: c for e, c in self._coeffs.items()}, q_max)
 
@@ -336,30 +341,23 @@ class QSeries:
             raise ZeroDivisionError("cannot invert the zero series")
         # self = P + N for its scalar part P = c q^e_star (1 + u_0) and its
         # nilpotent part N: 1/self = P^-1 (1 + V)^-1 with V = P^-1 N, so the
-        # parts are F_0 = P^-1 and F_d = sum_j (-V_j) F_{d-j}.  The grading
-        # bound and the padding apply to u = self / (c q^e_star) - 1.
+        # regraded parts are F_0 = P^-1 and F_d = sum_j (-V_j) F_{d-j}, V_j a
+        # power series by the grading bound of u = self / (c q^e_star) - 1:
+        # F_d is cut at top + D, V_j at top + D + e_star, as F_d >= q^-e_star.
         scal, nil = self._split()
         if not scal:
             raise ValueError("not invertible: no coefficient has a nonzero scalar part")
         e_star = min(scal.num)
-        exact_out = self.q_max is None and len(scal) == 1
-        pad = 0 if exact_out else _pad(ring, nil, 0, e_star)
-
-        target = ring.q_max if q_max is None else int(q_max)
-        if self.q_max is not None:
-            target = min(target, self.q_max - 2 * e_star - pad)
-        cutoff = None if exact_out else target + e_star + pad
-        if cutoff is not None and cutoff < 0:
-            # the lowest term of the inverse sits at q^(-e_star - pad) or above
-            return QSeries._raw(ring, {}, target)
-        top, low = (None, None) if exact_out else (target, cutoff - e_star)
-        inv = scalar_invert(scal, -e_star if exact_out else low)
+        exact = self.q_max is None and len(scal) == 1
+        top = None if exact else _order(ring, nil, q_max, self.q_max, e_star, 0)
+        cut = None if exact else top + ring.truncation + e_star
+        inv = scalar_invert(scal, -e_star if exact else cut - e_star)
         lifted = {e: {0: n} for e, n in inv.num.items()}
         v = {}
-        for j, (num, den) in nil.items():  # V_j, cut at cutoff in the frame of u
+        for j, (num, den) in nil.items():
             v[j] = ({}, inv.den * den)
-            multiply_accumulate(ring._mono, v[j][0], lifted, num, -1, cutoff)
-        return QSeries._raw(ring, _graded_series(ring, inv, v, low, top, False), top)
+            multiply_accumulate(ring._mono, v[j][0], lifted, num, -1, cut)
+        return QSeries._raw(ring, _graded_series(ring, inv, v, top, False), top)
 
     # -- exponential ---------------------------------------------------------------
 
@@ -370,15 +368,19 @@ class QSeries:
         genuine power series in q and is truncated at the requested order.
         If the input is exact and has no scalar part the result is exact.
         """
-        return _exp(self.ring, *self._split(), self.q_max, q_max)
+        scal, nil = self._split()
+        exact = self.q_max is None and not scal
+        top = None if exact else _order(self.ring, nil, q_max, self.q_max, 0, -1)
+        return _exp(self.ring, scal, nil, top)
 
     def _split(self) -> tuple[ScalarSeries, dict[int, Part]]:
         """The scalar parts of the coefficients, and their nilpotent parts
-        by Chow degree, each over one denominator: ``{j: part}`` for j >= 1."""
+        by Chow degree in the regraded frame, each over one denominator:
+        ``{j: part}`` for j >= 1, the degree-j part at q^e keyed by e + j."""
         split: dict[int, dict[int, ChowElement]] = {}
         for e, c in self._coeffs.items():
             for j, part in c.graded_parts().items():
-                split.setdefault(j, {})[e] = part
+                split.setdefault(j, {})[e + j] = part
         parts = {j: _lift(by_exp) for j, by_exp in split.items()}
         num, den = parts.pop(0, ({}, 1))
         return ScalarSeries.reduced({e: row[0] for e, row in num.items()}, den), parts
@@ -428,81 +430,71 @@ def _lift(coeffs: dict[int, ChowElement]) -> Part:
     }, den
 
 
-def _pad(ring: Ring, nil: dict[int, Part], lowest: int, shift: int = 0) -> int:
-    """The working-order padding of exp and invert for nilpotent parts by
-    Chow degree, taken at q^-shift: D + 1 when a nilpotent term sits at an
-    exponent <= lowest, else 0.  Raises ValueError if a degree-j part
-    reaches below q^-j (a coefficient at q^-e of Chow degree below e)."""
-    lows = {j: min(num) - shift for j, (num, _) in nil.items()}
-    for j, e in lows.items():
+def _order(ring: Ring, nil: dict[int, Part], q_max: int | None, input_order: int | None,
+           shift: int, lowest: int) -> int:
+    """The order exp (shift 0, lowest -1) and invert (shift e_star, lowest 0)
+    report for an input reliable to ``input_order`` (None: exact), with the
+    regraded nilpotent parts ``nil``: q_max (None: the ring's), at most
+    input_order - 2 shift, less D + 1 when a nilpotent term within input_order
+    sits at q^(shift + lowest) or below.  A term below the grading bound
+    raises ValueError."""
+    pad = 0
+    for j, (num, _) in nil.items():
+        e = min(num) - j - shift
         if e < -j:
             raise ValueError(f"the coefficient of q^{e} has Chow degree below {-e}")
-    return ring.truncation + 1 if lows and min(lows.values()) <= lowest else 0
+        if input_order is not None and e <= min(lowest, input_order - shift):
+            pad = ring.truncation + 1
+    target = _q_max_or(q_max, ring.q_max)
+    return target if input_order is None else min(target, input_order - 2 * shift - pad)
 
 
-def _exp(ring: Ring, scal: ScalarSeries, nil: dict[int, Part], arg_q_max: int | None,
-         q_max: int | None, rank: ScalarSeries | None = None) -> QSeries:
-    """rank * exp(A), A with the scalar part ``scal`` and the nonzero
-    Chow-degree parts ``nil`` of :meth:`QSeries._split`, reliable up to
-    ``arg_q_max`` (None: exact); see :meth:`QSeries.exp`.  The exact scalar
-    series ``rank`` (None: 1) enters through E_0, as the recurrence is
-    linear in it, and shifts the orders by its lowest exponent."""
-    if scal and min(scal.num) <= 0:
-        raise ValueError(
-            f"exp requires scalar parts only at positive exponents, found q^{min(scal.num)}"
-        )
-    cutoff = target = None
-    if scal or arg_q_max is not None:
-        pad = _pad(ring, nil, -1)
-        target = ring.q_max if q_max is None else int(q_max)
-        if arg_q_max is not None:
-            target = min(target, arg_q_max - pad)
-        cutoff = target + pad
-    # E_0 = exp(scalar part) and d E_d = sum_j j A_j E_{d-j}
-    first = scalar_exp(scal, cutoff) if scal else _ONE
-    if rank is not None:
-        if cutoff is not None:
-            rho = min(rank.num)
-            cutoff, target = cutoff + rho, target + rho
-        first = scalar_mul(rank, first, cutoff)
-    return QSeries._raw(ring, _graded_series(ring, first, nil, cutoff, target, True), target)
+def _exp(ring: Ring, scal: ScalarSeries, nil: dict[int, Part], q_max: int | None,
+         rank: ScalarSeries = _ONE) -> QSeries:
+    """rank * exp(A), A with the scalar part ``scal`` at positive exponents
+    and the regraded nonzero Chow-degree parts ``nil`` of
+    :meth:`QSeries._split`, with exp(A) up to q^q_max (None: exact, which
+    needs an A with no scalar part).  The exact scalar series ``rank``
+    enters through F_0, as the recurrence is linear in it, and shifts the
+    order by its lowest exponent."""
+    D, top = ring.truncation, None if q_max is None else q_max + min(rank.num)
+    exp_scal = scalar_exp(scal, q_max + D) if scal else _ONE
+    first = scalar_mul(rank, exp_scal, None if top is None else top + D)
+    return QSeries._raw(ring, _graded_series(ring, first, nil, top, True), top)
 
 
-def _graded_series(ring: Ring, first: ScalarSeries, parts: dict[int, Part], cutoff: int | None,
-                   top: int | None, exp: bool) -> dict[int, ChowElement]:
+def _graded_series(ring: Ring, first: ScalarSeries, parts: dict[int, Part], top: int | None,
+                   exp: bool) -> dict[int, ChowElement]:
     """The coefficients up to q^top (None keeps all) of sum_{d=0}^{D} F_d,
-    F_0 = ``first`` and F_d = sum_{j=1}^{d} parts[j] F_{d-j}, or
-    F_d = (1/d) sum_j j parts[j] F_{d-j} when ``exp``, each F_d one integer
-    accumulate on one denominator.  ``parts[j]`` is homogeneous of degree j,
-    so the F_d sit on disjoint monomials: their sum is a merge, each
-    coefficient reduced once.
+    each F_d given in the regraded frame: F_0 = ``first`` and
+    F_d = sum_{j=1}^{d} parts[j] F_{d-j}, or F_d = (1/d) sum_j j parts[j]
+    F_{d-j} when ``exp``, each one integer accumulate on one denominator,
+    for the degree-j part ``parts[j]`` moved up by j.  The F_d sit on
+    disjoint monomials, so moving each back by d and summing is a merge,
+    each coefficient reduced once.
 
-    Each F_d drops its exponents above max(top, cutoff - 1 - d) (None keeps
-    all).  Below poles exp and invert pad cutoff to top + D + 1, so F_d is
-    cut at top + D - d: parts[j] lives at exponents >= -j (the grading bound
-    :func:`_pad` checks) and F_0 above its own lowest exponent, so the
-    products from F_d to F_{d'} move a term down by at most d' - d, and a
-    term of F_d above top + D - d reaches each later F_{d'} only above its
-    cut top + D - d', never at or below top.  With no poles cutoff = top
-    and no product moves a term down."""
-    table = ring._mono
+    Every F_d is cut at the one regraded order top + D.  The parts are power
+    series (the grading bound) and F_0 lies above its own lowest exponent,
+    so no product moves a term down: the cut leaves each F_d exact up to it,
+    and up to q^(top + D - d) >= q^top once moved back."""
+    table, D = ring._mono, ring.truncation
+    cut = None if top is None else top + D
     graded: list[Part] = [({e: {0: v} for e, v in first.num.items()}, first.den)]
-    for d in range(1, ring.truncation + 1):
+    for d in range(1, D + 1):
         terms = [(j, parts[j], graded[d - j]) for j in range(1, d + 1)
                  if j in parts and graded[d - j][0]]
         den = common_den(a[1] * b[1] for _, a, b in terms)
-        cut = None if cutoff is None else max(top, cutoff - 1 - d)
         acc: dict[int, dict[int, int]] = {}
         for j, (a, da), (b, db) in terms:
             multiply_accumulate(table, acc, a, b, (j if exp else 1) * (den // (da * db)), cut)
         graded.append((acc, den * d if exp else den))
     den = common_den(d for num, d in graded if num)
     merged: dict[int, dict[int, int]] = {}
-    for num, d in graded:
-        f = den // d
-        for e, row in num.items():
-            if top is None or e <= top:
-                out = merged.setdefault(e, {})
+    for d, (num, dd) in enumerate(graded):
+        f = den // dd
+        for r, row in num.items():
+            if top is None or r - d <= top:
+                out = merged.setdefault(r - d, {})
                 for i, v in row.items():
                     out[i] = v * f
     return {e: c for e, num in merged.items() if (c := ChowElement._reduced(ring, num, den))}
@@ -510,7 +502,7 @@ def _graded_series(ring: Ring, first: ScalarSeries, parts: dict[int, Part], cuto
 
 def q_exponential(ring: Ring, scale: Scalar, q_max: int | None = None) -> QSeries:
     """The series exp(scale * q) truncated at the requested order."""
-    target = ring.q_max if q_max is None else int(q_max)
+    target = _q_max_or(q_max, ring.q_max)
     return QSeries.from_scalars(ring, scalar_exp(ScalarSeries.of([(1, scale)]), target), target)
 
 

@@ -33,10 +33,10 @@ from chloc.charclasses import (
     _TWIST,
     _RowStore,
     _argument,
+    _bernoulli_w,
     _euler_rows,
     _exp_hirzebruch_rows,
     _hirzebruch_table,
-    _reciprocal_expm1,
     _todd_rows,
 )
 from chloc.sampling import sample_kclass, sample_ring, sample_weight
@@ -267,6 +267,26 @@ def test_hirzebruch_multiplicative_formal():
         assert lhs.truncated(6) == rhs.truncated(6)
 
 
+def test_hirzebruch_formal_at_low_order_agrees_with_a_deep_t():
+    # with t known to a low order, every coefficient reported is the one a
+    # deep t gives: pole terms of the argument above the order the rows are
+    # reliable to still reach the lowest coefficients through products
+    rng = Random(5555)
+    r = Ring([("a", 1)], 4)
+    a = r.generator("a")
+    x = KClass(r, 0, [-2 * a, F(-4, 3) * a**2, -2 * a**3])
+    low = hirzebruch_class(q_exponential(r, 3, 1), x)
+    assert low.q_max == -4 and low.coefficient(-4) == F(110, 729) * a**4
+    for _ in range(40):
+        ring = sample_ring(rng, max_truncation=4)
+        x = sample_kclass(rng, ring, rank_min=-2, rank_max=2)
+        k = sample_weight(rng)
+        deep = hirzebruch_class(q_exponential(ring, -k, 24), x)
+        for order in range(1, ring.truncation + 3):
+            low = hirzebruch_class(q_exponential(ring, -k, order), x)
+            assert low.q_max < deep.q_max and low == deep, (ring, x, k, order)
+
+
 # -- equivariant Euler class ------------------------------------------------------------
 
 
@@ -466,13 +486,15 @@ _STORES = ("_EULER", "_TODD", "_TWIST", "_HIRZEBRUCH")
 
 
 def _scaled(rows, k, order):
-    """The rows phi_l(kq) up to q^order as {exponent: Fraction} maps: k^e
-    times each stored coefficient at q^e."""
-    return [{e: v * F(k) ** e for e, v in phi.items() if e <= order} for phi in rows]
+    """The regraded rows q^l phi_l(kq) up to q^order as {exponent: Fraction}
+    maps: k^(r-l) times each stored coefficient of row l at q^r."""
+    return [{r: v * F(k) ** (r - l) for r, v in psi.items() if r <= order}
+            for l, psi in enumerate(rows)]
 
 
 def test_scaled_rows_match_oracles():
-    # the rows at weight k are the weight-1 rows with q -> kq
+    # the rows at weight k are the weight-1 rows with q -> kq, stored in the
+    # regraded frame as power series psi_l = q^l phi_l
     scalars = Ring([], 0)
     for k in (-3, -2, -1, 2, 3, 5):
         for D in (1, 3, 6):
@@ -484,20 +506,24 @@ def test_scaled_rows_match_oracles():
                 twist = _scaled(_TWIST(D, order), k, order)
                 hirzebruch = _scaled(_HIRZEBRUCH(D, order), k, order)
                 assert {len(rows) for rows in (euler, todd_rows, twist, hirzebruch)} == {D + 1}
-                # e_{kq}: phi_l = -(l-1)!/(-kq)^l
-                expected = [{-l: F(-factorial(l - 1), (-k) ** l)} for l in range(1, D + 1)]
+                for rows in (euler, todd_rows, twist, hirzebruch):
+                    assert all(r >= 0 for row in rows for r in row)
+                # e_{kq}: phi_l = -(l-1)!/(-kq)^l, so q^l phi_l is a constant
+                expected = [{0: F(-factorial(l - 1), (-k) ** l)} for l in range(1, D + 1)]
                 assert euler == [{}] + expected
                 # Td(L (x) O(kq)) = exp(sum_j phi_j(kq) y^j/j!) on a line of root
                 # y is line_todd at y + kq: phi_0(kq) is the log of
-                # line_todd(kq), and d/dq phi_j(kq) = k phi_{j+1}(kq)
+                # line_todd(kq), and d/dq phi_j(kq) = k phi_{j+1}(kq), which
+                # reads (q d/dq - j) psi_j = k psi_{j+1} on the regraded rows
                 line = {n: c * F(k) ** n for n, c in enumerate(line_todd(order)) if c}
                 assert laurent_exp(todd_rows[0], order) == line
                 for j in range(D):
-                    derivative = {n - 1: n * c for n, c in todd_rows[j].items() if n}
-                    next_row = {n: k * c for n, c in todd_rows[j + 1].items() if n < order}
+                    derivative = {r: (r - j) * c for r, c in todd_rows[j].items() if r != j}
+                    next_row = {r: k * c for r, c in todd_rows[j + 1].items()}
                     assert derivative == next_row
-                # the twist ratio drops the q^0 terms
-                assert twist == [{n: c for n, c in row.items() if n} for row in todd_rows]
+                # the twist ratio drops the q^0 terms, at q^l once regraded
+                assert twist == [{r: c for r, c in row.items() if r != l}
+                                 for l, row in enumerate(todd_rows)]
                 # the Stirling form at the series t = exp(-kq), and the rank row
                 assert hirzebruch[0] == {n: -c for n, c in twist[0].items()}
                 for l in range(1, D + 1):
@@ -564,17 +590,17 @@ _REACHED = {
 }
 
 
-def test_bernoulli_u_matches_reciprocal_expm1():
-    # 1/(e^{kq} - 1) is 1/(e^x - 1) at x = kq
+def test_bernoulli_w_matches_reciprocal_expm1():
+    # kq/(e^{kq} - 1) is x/(e^x - 1) at x = kq: 1/(e^x - 1) shifted by one
     order = 30
     recip = reciprocal_expm1(order)
     for k in (1, 2, 3, 5, -1, -2, -3):
-        expected = {e: c * F(k) ** e for e, c in recip.items() if e <= order}
-        assert _scaled([_reciprocal_expm1(order)], k, order) == [expected]
+        expected = {e + 1: c * F(k) ** (e + 1) for e, c in recip.items() if e < order}
+        assert _scaled([_bernoulli_w(order)], k, order) == [expected]
 
 
 def test_exp_hirzebruch_table_matches_stirling_form():
-    # the Bernoulli-u rows scaled to weight k against the Stirling form at
+    # the Bernoulli-w rows scaled to weight k against the Stirling form at
     # the series t = exp(-kq), on every (k, D, order) the checks above reach
     scalars = Ring([], 0)
     for (k, D), orders in _REACHED.items():
@@ -653,9 +679,9 @@ def test_cold_identity_job_builds_each_kind_at_most_twice(monkeypatch, capsys):
 
 
 def _argument_view(ring, q_max, scal, parts):
-    """The argument's coefficients as {exponent: {exponent tuple: Fraction}},
-    after checking that each part is homogeneous of its degree and within
-    q_max."""
+    """The argument's regraded coefficients as {exponent: {exponent tuple:
+    Fraction}}, after checking that each part is homogeneous of its degree
+    and within q_max."""
     got = {e: {(0,) * ring.ngens: v} for e, v in scal.items()}
     for l, (num, den) in parts.items():
         for e, row in num.items():
@@ -666,9 +692,10 @@ def _argument_view(ring, q_max, scal, parts):
 
 
 def test_argument_matches_scaled_sums():
-    # sum over (x, k, rows) of k^e phi_l[e] * Ch_l(x), Ch_0 = rank, each term
-    # scaled and added apart on plain {exponent tuple: Fraction} maps; rows
-    # with poles take a nonzero k, and k = 0 keeps the q^0 terms only
+    # sum over (x, k, rows) of k^(r-l) psi_l[r] * Ch_l(x), Ch_0 = rank, each
+    # term scaled and added apart on plain {exponent tuple: Fraction} maps;
+    # rows that start below q^l take a nonzero k, and k = 0 keeps the q^l
+    # terms only
     rng = Random(1214)
     rings = [sample_ring(rng) for _ in range(12)]
     rings += [Ring([("a", 1), ("b", 2), ("c", 3)], 4), Ring([], 0), Ring([("a", 1)], 0)]
@@ -679,10 +706,10 @@ def test_argument_matches_scaled_sums():
             k = rng.choice([-3, -2, -1, 0, 1, 2, 5])
             low = 0 if k == 0 else -D - 1
             rows = tuple(
-                ScalarSeries.of(sorted({e: F(rng.randint(-4, 4), rng.randint(1, 5))
-                                        for e in rng.sample(range(low, 6), 3)}.items()))
+                ScalarSeries.of(sorted({r: F(rng.randint(-4, 4), rng.randint(1, 5))
+                                        for r in rng.sample(range(low + l, 6 + l), 3)}.items()))
                 if rng.random() < 0.7 else ScalarSeries({})
-                for _ in range(rng.randint(0, D + 1))
+                for l in range(rng.randint(0, D + 1))
             )
             terms.append((sample_kclass(rng, ring), k, rows))
         q_max = rng.choice([None, rng.randint(-2, 4)])
@@ -691,9 +718,10 @@ def test_argument_matches_scaled_sums():
         for x, k, rows in terms:
             for l, phi in enumerate(rows):
                 c = dict(x.chern_character(l).items()) if l else {(0,) * ring.ngens: F(x.rank)}
-                for e, v in phi.items():
-                    if q_max is None or e <= q_max:
-                        expected[e] = poly_add(expected.get(e, {}), poly_scale(v * F(k) ** e, c))
+                for r, v in phi.items():
+                    if q_max is None or r <= q_max:
+                        term = poly_scale(v * F(k) ** (r - l), c)
+                        expected[r] = poly_add(expected.get(r, {}), term)
         assert got == {e: c for e, c in expected.items() if c}
     other = Ring([("a", 1)], 3)
     with pytest.raises(ValueError, match="ring mismatch"):

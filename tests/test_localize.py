@@ -381,11 +381,14 @@ def test_kernel_term_pairs_are_pinned(monkeypatch):
     localization product, as term pairs: products of a monomial at q^e1 by
     one at q^e2 with e1 + e2 within the cutoff.  The Chow-degree-d part of
     exp is cut at D - d orders above the target; with the uniform cut at
-    D + 1 orders above it the counts were 2346 and 2993."""
+    D + 1 orders above it the counts were 2346 and 2993.  Also the
+    (exponent, monomial) terms of the argument's nilpotent parts, which are
+    read to one regraded order: read to one order in q they were 128."""
+    import chloc.charclasses
     import chloc.series
 
-    pairs = [0]
-    kernel = chloc.series.multiply_accumulate
+    pairs, terms = [0], [0]
+    kernel, argument = chloc.series.multiply_accumulate, chloc.charclasses._argument
 
     def counting(table, acc, x, y, f=1, cutoff=None):
         for e1, xs in x.items():
@@ -393,7 +396,13 @@ def test_kernel_term_pairs_are_pinned(monkeypatch):
                             if cutoff is None or e1 + e2 <= cutoff)
         kernel(table, acc, x, y, f, cutoff)
 
+    def counting_terms(*args):
+        scal, parts = argument(*args)
+        terms[0] += sum(len(row) for num, _ in parts.values() for row in num.values())
+        return scal, parts
+
     monkeypatch.setattr(chloc.series, "multiply_accumulate", counting)
+    monkeypatch.setattr(chloc.charclasses, "_argument", counting_terms)
     rng = Random(19)
     ring = Ring([("a", 1), ("b", 1)], 4)
     x = [sample_kclass(rng, ring, rank_min=-2, rank_max=2) for _ in range(5)]
@@ -401,3 +410,4 @@ def test_kernel_term_pairs_are_pinned(monkeypatch):
     crosscheck = pairs[0]
     localization_product(x[3], 2, [(x[1], -1)], [(x[4], 1)], [(x[2], 3), (x[0], -2)])
     assert (crosscheck, pairs[0] - crosscheck) == (1405, 2123)
+    assert terms[0] == 103

@@ -40,6 +40,53 @@ def test_floats_are_rejected():
     assert r.const(True) == r.one() and r.element({(1,): F(1, 2)}) == r.generator("a") / 2
 
 
+def _int_entry_points():
+    """(argument name, call) for each entry point that takes an integer."""
+    from chloc import (
+        KClass, LocInput, crosscheck_factors, equivariant_euler, euler_identity_check,
+        hirzebruch_class, line_bundle, localization_product, q_exponential, todd_twist_ratio,
+    )
+
+    r = Ring([("a", 1)], 2)
+    a = r.generator("a")
+    x, s = line_bundle(a), QSeries(r, {0: a, 1: r.one()}, q_max=4)
+    t = q_exponential(r, -1, 6)
+    return {
+        "euler weight": ("weight", lambda w: equivariant_euler(x, w)),
+        "kclass rank": ("rank", lambda w: KClass(r, w)),
+        "ring truncation": ("truncation", lambda w: Ring([("a", 1)], w)),
+        "ring degree": ("degree of a", lambda w: Ring([("a", w)], 2)),
+        "ring q_max": ("q_max", lambda w: Ring([("a", 1)], 2, w)),
+        "series exponent": ("exponent", lambda w: QSeries(r, {w: a})),
+        "series shift": ("k", lambda w: s.shifted(w)),
+        "series truncation": ("q_max", lambda w: s.truncated(w)),
+        "exp order": ("q_max", lambda w: s.exp(w)),
+        "invert order": ("q_max", lambda w: (s + 1).invert(w)),
+        "q_exponential order": ("q_max", lambda w: q_exponential(r, 1, w)),
+        "hirzebruch order": ("q_max", lambda w: hirzebruch_class(t, x, w)),
+        "twist weight": ("weight", lambda w: todd_twist_ratio(x, w, 3)),
+        "twist order": ("q_max", lambda w: todd_twist_ratio(x, 1, w)),
+        "identity weight": ("weight", lambda w: euler_identity_check(x, w, 3)),
+        "identity order": ("q_max", lambda w: euler_identity_check(x, 1, w)),
+        "localization weight": ("weight", lambda w: localization_product(x, 1, [(x, w)], [], [])),
+        "localization order": ("q_max", lambda w: localization_product(x, 1, [], [], [], w)),
+        "crosscheck weight": ("weight", lambda w: crosscheck_factors(r, [(x, w)], 3)),
+        "crosscheck order": ("q_max", lambda w: crosscheck_factors(r, [(x, 1)], w)),
+        "hodge weight": ("hodge_weight", lambda w: LocInput(r, x, w, ())),
+        "pushed weight": ("weight", lambda w: LocInput(r, x, 1, ((x, w),))),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_int_entry_points()))
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "3"])
+def test_integer_arguments_are_checked_not_coerced(entry, value):
+    # a float, a bool or a string is refused by name, never truncated to an int
+    name, call = _int_entry_points()[entry]
+    with pytest.raises(TypeError, match=f"{name} must be an int, not {type(value).__name__}"):
+        call(value)
+    call(2)
+
+
 def test_basis_of_univariate():
     r = Ring([("a", 1)], 2)
     a = r.generator("a")
