@@ -475,10 +475,7 @@ def todd_twist_ratio(x: KClass, weight: int, q_max: int | None = None) -> QSerie
     for a trivial line it is k q / (1 - exp(-k q)) = 1 + kq/2 + (kq)^2/12 - ...
     """
     ring = x.ring
-    target = _q_max_or(q_max, ring.q_max)
-    if target < 1:
-        return QSeries.one(ring).truncated(max(target, 0))
-    return _weighted_product(ring, target, twist=[(x, weight)])
+    return _weighted_product(ring, _q_max_or(q_max, ring.q_max), twist=[(x, weight)])
 
 
 @dataclass(frozen=True)

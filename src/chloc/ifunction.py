@@ -25,19 +25,18 @@ hypergeometric operator
 for the recurrence the operator imposes.
 
 Every b in B_j(k) is n/d with an integer n (d the degree of the chain), so
-each form b z + k_j q is (n z + d k_j q)/d, and I_k is kept raw: the scalar
--1/((k-1)! d^count), the numerator progression of each variable and the
-z-power 2 - k.  One normalizer turns raw forms into the factored form, an
-exact scalar and a map from primitive integer pairs (a, b) to the exponents
-of the forms a z + b q: each form's primitive pair and content come from
-one integer gcd, and a whole product makes one ``Fraction`` scalar.  The
-factored form is expanded into a ``RatFunc`` only for
-``ICoefficient.value``, ``big_i_factor`` and the residual of a failed
-Picard-Fuchs item.  That expansion needs no polynomial gcd: the numerator
-and denominator forms are distinct primitive forms, hence coprime, and by
-Gauss's lemma each product has content 1 and a positive leading
-coefficient, so scalar * numerator / denominator is already ``RatFunc``'s
-canonical form.
+each form b z + k_j q is (n z + d k_j q)/d, and I_k is kept raw in
+integers: -z^(2-k)/D_k times the forms, D_k = (k-1)! d^count, over the
+numerators N_j(k) of each variable, a ``range`` of step d.  A Picard-Fuchs
+step compares ranges and one integer equation; only a mismatch is
+normalized, into an exact scalar and a map from primitive integer pairs
+(a, b) to the exponents of the forms a z + b q, one gcd per form.  A
+product of forms is expanded as one integer product (``_expand``), with no
+polynomial gcd: the raw I_k has a power of z as denominator and no form is
+a multiple of z; normalized forms are distinct primitive forms, hence
+coprime, and by Gauss's lemma each product has content 1 and a positive
+leading coefficient.  Either way the expansion is ``RatFunc``'s canonical
+form.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from math import factorial, gcd, lcm, perm
+from math import factorial, gcd, lcm, perm, prod
 
 from .chains import ChainData, SymmetryElement, is_calabi_yau, sector, weight_sequence
 from .ratfunc import BivarPoly, RatFunc
@@ -116,12 +115,12 @@ def _linear_form(a, b) -> tuple[Fraction, tuple[int, int]]:
     return Fraction(g, den), key
 
 
-def _i_raw(chain: ChainData, k: int) -> tuple[Fraction, list[list[int]]]:
-    """I_k raw as (s_k, nums), nums[j] sorted: I_k = s_k z^(2-k) prod_j prod_{n in
-    nums[j]} (n z + d k_j q), s_k = -1/((k-1)! d^count), as b z + k_j q is
-    (n z + d k_j q)/d with d the degree of the chain."""
-    nums = [sorted(_b_numerators(chain, j, k)) for j in range(1, chain.n_variables + 1)]
-    return Fraction(-1, factorial(k - 1) * chain.degree ** sum(map(len, nums))), nums
+def _i_raw(chain: ChainData, k: int) -> tuple[int, list[range]]:
+    """I_k raw as (D_k, nums): I_k = -z^(2-k)/D_k prod_j prod_{n in nums[j]}
+    (n z + d k_j q) with D_k = (k-1)! d^count, as b z + k_j q is
+    (n z + d k_j q)/d with d the degree of the chain; nums[j] = N_j(k)."""
+    nums = [_b_numerators(chain, j, k) for j in range(1, chain.n_variables + 1)]
+    return factorial(k - 1) * chain.degree ** sum(map(len, nums)), nums
 
 
 def _normalized(chain: ChainData, scalar: Fraction, z_power: int, nums) -> Factored:
@@ -140,12 +139,19 @@ def _normalized(chain: ChainData, scalar: Fraction, z_power: int, nums) -> Facto
 
 def _expand(forms, scalar: Fraction, shift: int = 0) -> BivarPoly:
     """scalar times z^shift times the product of the linear forms a*z + b*q
-    over the integer pairs (a, b)."""
-    coeffs = [1]  # coeffs[i] multiplies z^(i + shift) q^(degree - i)
-    for a, b in forms:
-        coeffs = [b * c + a * c_left for c, c_left in zip(coeffs + [0], [0] + coeffs)]
-    deg = len(coeffs) - 1
-    return BivarPoly._raw({(i + shift, deg - i): scalar * c for i, c in enumerate(coeffs) if c})
+    over the integer pairs (a, b), by Kronecker substitution: the base-2^w
+    digits of prod (a 2^w + b) are the coefficients of z^i q^(n-i).  No
+    coefficient exceeds prod (|a| + |b|) in size, so with w a whole number
+    of bytes and 2^(w-1) above that bound, digits biased by 2^(w-1) carry
+    nothing."""
+    forms = list(forms)
+    n, size = len(forms), prod(abs(a) + abs(b) for a, b in forms).bit_length() // 8 + 1
+    half = 1 << (8 * size - 1)
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * (n + 1), "little")
+    digits = (prod((a << 8 * size) + b for a, b in forms) + bias).to_bytes(size * (n + 1), "little")
+    sn, sd = scalar.numerator, scalar.denominator
+    coeffs = (int.from_bytes(digits[i * size:(i + 1) * size], "little") - half for i in range(n + 1))
+    return BivarPoly._raw({(i + shift, n - i): Fraction(sn * c, sd) for i, c in enumerate(coeffs) if c})
 
 
 def _to_ratfunc(factored: Factored) -> RatFunc:
@@ -169,11 +175,13 @@ def i_coefficient(chain: ChainData, k: int) -> ICoefficient:
         raise ValueError("the small I-function needs a Calabi-Yau chain")
     if k < 1:
         raise ValueError("the level k must be a positive integer")
-    scalar, nums = _i_raw(chain, k)
+    denominator, nums = _i_raw(chain, k)
+    forms = [(n, chain.degree * kj) for ns, kj in zip(nums, weight_sequence(chain)) for n in ns]
     return ICoefficient(
         k=k,
         sector=sector(chain, k),
-        value=_to_ratfunc(_normalized(chain, scalar, 2 - k, nums)),
+        value=RatFunc._raw(_expand(forms, Fraction(-1, denominator), max(2 - k, 0)),
+                           BivarPoly._raw({(max(k - 2, 0), 0): Fraction(1)})),
         b_sets=tuple(tuple(Fraction(n, chain.degree) for n in ns) for ns in nums),
     )
 
@@ -218,6 +226,13 @@ class PFReport:
         return [item for item in self.items if not item.ok]
 
 
+def _follows(ns, top: int, stop: int, d: int, nk) -> bool:
+    """Whether ns followed by range(top, stop, d) is nk, decided on ranges:
+    only when ns is the range of step d that ends just below top."""
+    start = top - d * len(ns)
+    return ns == range(start, top, d) and nk == range(start, stop, d)
+
+
 def picard_fuchs_check(chain: ChainData, k_max: int) -> PFReport:
     """Verify the Picard-Fuchs annihilation coefficient-wise up to t^k_max.
 
@@ -236,15 +251,15 @@ def picard_fuchs_check(chain: ChainData, k_max: int) -> PFReport:
             = prod_{c=1}^{d} (k + d - c) z * I_{k+d}.
 
     The operator's forms are ((w_j k + c d) z + d k_j q)/d, raw forms like
-    those of I_k (d the degree), and both sides carry z^(2-k).  So with s_k
-    the raw scalar and N_j(k) the numerators of I_k, the left side is s_k/d^d
-    times the forms over N_j(k) and w_j k + c d (0 <= c < w_j), the right
-    side s_{k+d} (k + d - 1)!/(k - 1)! times those over N_j(k+d).  Equal
-    scalars and equal sorted numerators per variable are equal raw forms,
-    the same polynomial.  Only on a mismatch are both sides normalized and
-    compared as scalars and multisets of primitive forms, which decides the
-    item exactly since Q[z, q] has unique factorization.  Only a failing
-    item is expanded into rational functions, for its residual lhs - rhs.
+    those of I_k (d the degree), and both sides carry -z^(2-k).  So the left
+    side is 1/(D_k d^d) times the forms over N_j(k) followed by
+    range(w_j k, w_j (k + d), d), the right side (k + d - 1)!/(k - 1)!/D_{k+d}
+    times those over N_j(k+d).  Equal integer scalars and equal ranges per
+    variable (``_follows``) are equal raw forms, the same polynomial.  Any
+    other raw form is normalized on both sides and compared as scalars and
+    multisets of primitive forms, which decides the item exactly since
+    Q[z, q] has unique factorization.  Only a failing item is expanded into
+    rational functions, for its residual lhs - rhs.
     """
     _require_int(k_max=k_max)
     if not is_calabi_yau(chain):
@@ -258,17 +273,16 @@ def picard_fuchs_check(chain: ChainData, k_max: int) -> PFReport:
     # 1 <= m <= d: the c = m factor of the second product is identically zero
     items = [PFItem(m=m, ok=True, residual=None) for m in range(1, min(d, k_max) + 1)]
     for k in range(1, k_max - d + 1):
-        scalar, nums = ic(k)
+        (dk, nums), (dkd, nums_kd), p = ic(k), ic(k + d), perm(k + d - 1, d)
         # sum(w_j) = d operator factors on a Calabi-Yau chain
-        lhs = scalar / d_to_d, [
-            sorted([*ns, *range(wj * k, wj * (k + d), d)])
-            for ns, wj in zip(nums, chain.weights)
-        ]
-        scalar, nums = ic(k + d)
-        rhs = scalar * perm(k + d - 1, d), nums
-        ok = lhs == rhs
+        ok = dkd == p * dk * d_to_d and all(
+            _follows(ns, wj * k, wj * (k + d), d, nk)
+            for ns, nk, wj in zip(nums, nums_kd, chain.weights)
+        )
         if not ok:
-            lhs, rhs = (_normalized(chain, s, 2 - k, ns) for s, ns in (lhs, rhs))
+            ext = [[*ns, *range(wj * k, wj * (k + d), d)] for ns, wj in zip(nums, chain.weights)]
+            lhs, rhs = (_normalized(chain, s, 2 - k, ns) for s, ns in
+                        ((Fraction(-1, dk * d_to_d), ext), (Fraction(-p, dkd), nums_kd)))
             ok = lhs == rhs
         residual = None if ok else _to_ratfunc(lhs) - _to_ratfunc(rhs)
         items.append(PFItem(m=k + d, ok=ok, residual=residual))

@@ -254,7 +254,9 @@ class Ring:
         """Build an element from a monomial-to-coefficient mapping."""
         acc: dict[int, Fraction] = {}
         for mono, c in terms.items():
-            mono = tuple(int(e) for e in mono)
+            for e in mono:
+                _require_int(exponent=e)
+            mono = tuple(mono)
             if len(mono) != self.ngens or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono!r}")
             d = self.monomial_degree(mono)

@@ -240,6 +240,15 @@ def line_euler_twist(order: int) -> dict[int, Fraction]:
     return {n: c for n, c in enumerate(line_todd(order)) if c}
 
 
+def linear_product(forms, scalar, shift: int = 0) -> BivarPoly:
+    """scalar * z^shift * prod (a z + b q) over the pairs (a, b), multiplied
+    out as ``BivarPoly`` products of ``BivarPoly.linear`` forms."""
+    out = BivarPoly({(shift, 0): scalar})
+    for a, b in forms:
+        out = out * BivarPoly.linear(a, b)
+    return out
+
+
 def i_value_product(chain, k: int) -> RatFunc:
     """I_k = -z prod_j prod_{b in B_j(k)} (b z + k_j q) / prod_{0<b<k} b z,
     multiplied out form by form.  B_j(k) is read from ``ifunction.b_range``

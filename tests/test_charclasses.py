@@ -388,6 +388,18 @@ def test_twist_rank_zero():
     assert todd_twist_ratio(KClass.zero(r), 1, 8) == QSeries.one(r)
 
 
+def test_twist_checks_the_weight_and_keeps_a_low_order():
+    # no early return below q^1: the weight is checked at every order, and an
+    # order below 0 is reported as asked
+    r, a = _line_ring(2)
+    x = line_bundle(a)
+    with pytest.raises(TypeError, match="weight must be an int, not float"):
+        todd_twist_ratio(x, 1.5, 0)
+    low = todd_twist_ratio(x, 2, -3)
+    assert low.q_max == -3 and str(low) == "0 + O(q^-2)"
+    assert str(todd_twist_ratio(x, 2, 0)) == "(1) + O(q^1)"
+
+
 def test_twist_trivial_line_is_todd_series():
     r, _ = _line_ring(2)
     order = 8

@@ -1,13 +1,14 @@
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
-from math import floor, perm
+from math import floor, perm, prod
+from random import Random
 
 import pytest
 
 from chloc import ifunction
-from chloc.ifunction import _i_raw, _linear_form, _normalized
-from oracles import i_value_product, pf_cross_multiply
+from chloc.ifunction import _expand, _i_raw, _linear_form, _normalized
+from oracles import i_value_product, linear_product, pf_cross_multiply
 from chloc import (
     BivarPoly,
     RatFunc,
@@ -351,13 +352,17 @@ def test_perturbed_b_range_fails_both_checks(monkeypatch):
 
 
 def test_perturbed_scalar_fails_factored_check(monkeypatch):
-    # equal raw forms with different scalars are not equal, raw or normalized
+    # equal raw forms with different scalars are not equal, raw or normalized:
+    # D_7 halved doubles the scalar -1/D_7 of I_7
     chain = chain_solve([2, 2, 3])
     original = ifunction._i_raw
 
     def perturbed(chain_, k):
-        scalar, nums = original(chain_, k)
-        return 2 * scalar if k == 7 else scalar, nums
+        denominator, nums = original(chain_, k)
+        if k != 7:
+            return denominator, nums
+        assert denominator % 2 == 0
+        return denominator // 2, nums
 
     monkeypatch.setattr(ifunction, "_i_raw", perturbed)
     report = picard_fuchs_check(chain, chain.degree + 16)
@@ -373,17 +378,19 @@ def test_raw_mismatch_is_decided_on_normalized_forms(monkeypatch, rescale):
     # 4z + 12q = 4 (z + 3q).  With the scalar divided by 4, I_7 is the same
     # polynomial with other raw forms: the raw comparison fails at m = 7 and
     # m = 10 and the normalized one must pass them.  Without, both fail.
+    # The scalar -1/D_7 divided by 4 is D_7 times 4; the moved form leaves
+    # variable 1 a range and variable 3 a list.
     chain = chain_solve([2, 2, 3])
     assert weight_sequence(chain)[:3] == (1, -2, 4)
     original = ifunction._i_raw
 
     def moved(chain_, k):
-        scalar, nums = original(chain_, k)
+        denominator, nums = original(chain_, k)
         if k != 7:
-            return scalar, nums
+            return denominator, nums
         first, second, third = nums
-        assert first[0] == 1
-        return scalar / 4 if rescale else scalar, [first[1:], second, sorted(third + [4])]
+        assert first[0] == 1 and type(first) is range
+        return 4 * denominator if rescale else denominator, [first[1:], second, sorted([*third, 4])]
 
     normalized = []
     original_normalized = ifunction._normalized
@@ -400,8 +407,9 @@ def test_raw_mismatch_is_decided_on_normalized_forms(monkeypatch, rescale):
 
 
 def test_pf_check_normalizes_no_form_on_true_chains(monkeypatch):
-    # equal raw forms decide every step; before they did, the 21 chains up to
-    # t^(degree + 16) normalized 9,072 forms, one gcd (``_primitive``) each
+    # equal ranges and integer scalars decide every step; before raw forms
+    # did, the 21 chains up to t^(degree + 16) normalized 9,072 forms, one
+    # gcd (``_primitive``) each
     calls = []
     original = ifunction._primitive
     monkeypatch.setattr(ifunction, "_primitive", lambda x, y: calls.append(1) or original(x, y))
@@ -411,9 +419,104 @@ def test_pf_check_normalizes_no_form_on_true_chains(monkeypatch):
         chain = chain_solve(a)
         assert picard_fuchs_check(chain, chain.degree + 16).all_ok, a
     assert len(calls) == 0
-    # the normalizer itself still takes one gcd per form
-    ic = i_coefficient(chain_solve([2, 2, 3]), 7)
+    # i_coefficient expands the raw forms with no gcd; the normalizer itself
+    # still takes one gcd per form
+    chain = chain_solve([2, 2, 3])
+    ic = i_coefficient(chain, 7)
+    assert len(calls) == 0
+    denominator, nums = _i_raw(chain, 7)
+    _normalized(chain, F(-1, denominator), 2 - 7, nums)
     assert len(calls) == sum(map(len, ic.b_sets)) == 6
+
+
+@pytest.mark.parametrize("wrong", ["stop", "step"])
+def test_pf_fast_path_never_merges_an_unchecked_range(monkeypatch, wrong):
+    # N_3(10) = range(1, 10, 3) of (2, 2, 3) patched to a range with the same
+    # start and another stop or step.  A test of the start alone, (w_j k -
+    # start) % d == 0, would merge range(1, 7, 3) with the operator's
+    # range(10, 13, 3) into N_3(13) and pass m = 13.  The check must fail
+    # exactly where the RatFunc-product oracle does, with the same residuals.
+    chain = chain_solve([2, 2, 3])
+    original = ifunction._b_numerators
+    j0, k0 = 3, 10
+    ns = original(chain, j0, k0)
+    assert ns == range(1, 10, 3)
+    bad = range(ns.start, ns[-1], ns.step) if wrong == "stop" else range(ns.start, ns.stop, 2 * ns.step)
+    assert bad.start == ns.start and list(bad) != list(ns)
+    monkeypatch.setattr(ifunction, "_b_numerators",
+                        lambda chain_, j, k: bad if (j, k) == (j0, k0) else original(chain_, j, k))
+    k_max = chain.degree + 16
+    report = picard_fuchs_check(chain, k_max)
+    oracle = pf_cross_multiply(chain, k_max)
+    assert [(i.m, i.ok, i.residual) for i in report.items] == oracle
+    assert [item.m for item in report.failures()] == [k0, k0 + chain.degree]
+
+
+def test_layer_work_is_pinned(monkeypatch):
+    """The I-function layer's work on the 21 Calabi-Yau chains up to
+    t^(degree + 16), with i_coefficient at levels 1, degree + 1 and
+    degree + 16: gcds of the normalizer (``_primitive``), expansions
+    (``_expand``) and ``Fraction`` constructor calls inside
+    picard_fuchs_check.  With the same wrappers, normalized I_k, sorted
+    lists and ``Fraction`` scalars counted 690, 126 and 494."""
+    counts = Counter()
+
+    def counting(name, original):
+        return lambda *args: counts.update([name]) or original(*args)
+
+    monkeypatch.setattr(ifunction, "_primitive", counting("primitive", ifunction._primitive))
+    monkeypatch.setattr(ifunction, "_expand", counting("expand", ifunction._expand))
+    chains = [chain_solve(a) for a in _cy_chains()]
+    assert len(chains) == 21
+    for chain in chains:
+        with monkeypatch.context() as patch:
+            patch.setattr(ifunction, "Fraction", counting("fraction", F))
+            assert picard_fuchs_check(chain, chain.degree + 16).all_ok
+        for k in (1, chain.degree + 1, chain.degree + 16):
+            i_coefficient(chain, k)
+    assert (counts["primitive"], counts["expand"], counts["fraction"]) == (0, 63, 0)
+
+
+def _expand_cases():
+    """(forms, scalar, shift) for the Kronecker expansion: seeded forms with
+    zero and negative entries, repeats, entries of 2^64 and more, products
+    whose one coefficient reaches the bound prod(|a| + |b|) at the edge of a
+    slot, and scalars with large denominators."""
+    rng = Random(22)
+    big = 2**64
+    cases = [
+        ([], F(1), 0),
+        ([], F(-3, 7), 2),
+        ([(0, 0), (1, 2)], F(1), 0),
+        ([(1, 1)] * 9, F(1), 0),
+        ([(2, -3), (2, -3), (0, 5), (-4, 0)], F(5, 3**40), 3),
+        ([(big, -1), (-1, big + 7), (3 * big, big)], F(-1, 2**70 + 1), 1),
+        ([(127, 0)], F(1), 0),
+        ([(-127, 0)], F(1), 0),
+        ([(0, -127)], F(1), 0),
+        ([(7, 0), (0, -31), (151, 0)], F(1), 0),
+        ([(128, 0)], F(1), 4),
+        ([(2**63 - 1, 0)], F(-1, 3), 0),
+    ]
+    for _ in range(40):
+        entries = [-big, -5, -1, 0, 0, 1, 2, 7, big + 1]
+        n = rng.randint(0, 8)
+        forms = [(rng.choice(entries), rng.choice(entries)) for _ in range(n)]
+        forms += forms[: rng.randint(0, n)]
+        cases.append((forms, F(rng.randint(-9, 9) or 1, rng.randint(1, 10**30)), rng.randint(0, 3)))
+    return cases
+
+
+def test_expand_matches_linear_form_product():
+    for forms, scalar, shift in _expand_cases():
+        got, expected = _expand(forms, scalar, shift), linear_product(forms, scalar, shift)
+        assert dict(got.items()) == dict(expected.items()), (forms, scalar, shift)
+        assert all(type(c) is F for _, c in got.items())
+    # the slot edge: one coefficient of size exactly the bound, 2^(8s-1) - 1
+    for forms in ([(127, 0)], [(-127, 0)], [(0, -127)], [(7, 0), (0, -31), (151, 0)]):
+        bound = prod(abs(a) + abs(b) for a, b in forms)
+        assert (bound + 1).bit_length() % 8 == 0
+        assert [abs(c) for _, c in _expand(forms, F(1)).items()] == [bound]
 
 
 def test_linear_form_normalization():
@@ -436,10 +539,11 @@ def test_linear_form_normalization():
 def test_i_factored_spot_values_223():
     chain = chain_solve([2, 2, 3])
     # I_2 = -1: no form and the z^0 is dropped
-    scalar, nums = _i_raw(chain, 2)
-    assert (scalar, nums) == (F(-1), [[], [], []])
-    assert _normalized(chain, scalar, 0, nums) == (F(-1), Counter())
+    denominator, nums = _i_raw(chain, 2)
+    assert (denominator, nums) == (1, [range(0)] * 3)
+    assert all(type(ns) is range for ns in nums)
+    assert _normalized(chain, F(-1, denominator), 0, nums) == (F(-1), Counter())
     # I_3 = -1/6 (0 z - 6q)/z = q/z carries a pure-q form (b = 0)
-    scalar, nums = _i_raw(chain, 3)
-    assert (scalar, nums) == (F(-1, 6), [[], [0], []])
-    assert _normalized(chain, scalar, -1, nums) == (F(1), Counter({(0, 1): 1, (1, 0): -1}))
+    denominator, nums = _i_raw(chain, 3)
+    assert (denominator, nums) == (6, [range(0), range(0, 3, 3), range(0)])
+    assert _normalized(chain, F(-1, denominator), -1, nums) == (F(1), Counter({(0, 1): 1, (1, 0): -1}))

@@ -57,6 +57,7 @@ def _int_entry_points():
         "ring truncation": ("truncation", lambda w: Ring([("a", 1)], w)),
         "ring degree": ("degree of a", lambda w: Ring([("a", w)], 2)),
         "ring q_max": ("q_max", lambda w: Ring([("a", 1)], 2, w)),
+        "element exponent": ("exponent", lambda w: r.element({(w,): 1})),
         "series exponent": ("exponent", lambda w: QSeries(r, {w: a})),
         "series shift": ("k", lambda w: s.shifted(w)),
         "series truncation": ("q_max", lambda w: s.truncated(w)),
