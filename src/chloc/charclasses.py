@@ -37,10 +37,11 @@ polynomial; given a ``target`` order, the entry picks the working order
 at which the product is reliable up to q^target.
 
 Rows live in the regraded frame of :mod:`chloc.series`: row l is the power
-series psi_l = q^l phi_l, a :class:`~chloc.series.ScalarSeries` (integer
-numerators over one denominator).  Euler rows are the constants
-(-1)^(l+1) (l-1)!; the Hirzebruch rows at every t are one Stirling sum over
-the powers of w = q t/(1-t), which is sum_n B_n(0) q^n/n! at t = exp(-q).
+series psi_l = q^l phi_l, a scalar series: the :data:`~chloc.rings.Part`
+on monomial index 0 (integer numerators over one denominator).  Euler rows
+are the constants (-1)^(l+1) (l-1)!; the Hirzebruch rows at every t are one
+Stirling sum over the powers of w = q t/(1-t), which is
+sum_n B_n(0) q^n/n! at t = exp(-q).
 At weight k, phi_l(kq) scales the coefficient of psi_l at q^r by k^(r-l),
 so each kind keeps one store of weight-1 rows, built on first use and
 rebuilt when a call needs a larger D or order (row l does not depend on D,
@@ -58,26 +59,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, gcd, inf, lcm, prod
+from math import comb, factorial, inf, lcm, prod
 from typing import Callable, Iterable, Sequence
 
-from .rings import ChowElement, Ring, _q_max_or, _require_int, common_den
-from .series import (
-    Part,
-    QSeries,
-    ScalarSeries,
-    _exp,
-    _order,
-    compute_at_precision,
-    scalar_invert,
-    scalar_mul,
-    scalar_pow,
-)
+from .rings import ChowElement, Part, Ring, _q_max_or, _require_int, common_den, mul_parts
+from .rings import reduce_part
+from .series import QSeries, _exp, _order, compute_at_precision, scalar_invert, scalar_series
 
 # psi_0..psi_D, psi_l = q^l phi_l for the series phi_l multiplying Ch_l (Ch_0 = rank)
-Rows = tuple[ScalarSeries, ...]
+Rows = tuple[Part, ...]
 
-_ZERO = ScalarSeries({})
+_ZERO: Part = ({}, 1)
+_SCALARS = Ring([], 0)._mono  # the monomial table of scalar products (index 0 only)
 
 
 @lru_cache(maxsize=None)
@@ -104,47 +97,47 @@ def stirling2(l: int, k: int) -> int:
     return k * stirling2(l - 1, k) + stirling2(l - 1, k - 1)
 
 
-def _hirzebruch_table(t, D: int) -> tuple[Rows, int | None, ScalarSeries]:
+def _hirzebruch_table(t, D: int) -> tuple[Rows, int | None, Part]:
     """c_t: psi_l = -q^l s_l(t) (see :func:`hirzebruch_coefficient`) through
     the powers of w = q t/(1-t); the order the phi_l are reliable to (None
     for rational t); and 1 - t, the root of the rank factor."""
     if isinstance(t, QSeries):
         if t.q_max is None:
             raise ValueError("formal t must carry a finite truncation order")
-        (data, nil), order = t._split(), t.q_max
-        one_minus = ScalarSeries.reduced({e: -v for e, v in data.num.items() if e}, data.den)
-        if nil or data.get(0) != 1 or min(one_minus.num, default=0) != 1:
+        ((num, den), nil), order = t._split(), t.q_max
+        one_minus = reduce_part({e: {0: -row[0]} for e, row in num.items() if e}, den)
+        if nil or num.get(0) != {0: den} or min(one_minus[0], default=0) != 1:
             raise ValueError("formal t must be a scalar 1 + O(q) with an invertible q-term")
         # (1 - t)/q and so w are known to q^(order - 1)
-        over_q = ScalarSeries({e - 1: v for e, v in one_minus.num.items()}, one_minus.den)
-        w = scalar_mul(data, scalar_invert(over_q, order - 1), order - 1)
+        over_q = {e - 1: row for e, row in one_minus[0].items()}, one_minus[1]
+        w = mul_parts(_SCALARS, (num, den), scalar_invert(over_q, order - 1), order - 1)
         return _stirling_rows(w, D, order - 1), order - 1 - D, one_minus
     t = Fraction(t)
     if t == 1:
         raise ValueError("the Hirzebruch class is undefined at t = 1")
-    w, one_minus = ScalarSeries.of({1: t / (1 - t)}), ScalarSeries.of({0: 1 - t})
+    w, one_minus = scalar_series([(1, t / (1 - t))]), scalar_series([(0, 1 - t)])
     return _stirling_rows(w, D, None), None, one_minus
 
 
-def _stirling_rows(w: ScalarSeries, D: int, cutoff: int | None) -> Rows:
+def _stirling_rows(w: Part, D: int, cutoff: int | None) -> Rows:
     """psi_0 = 0 and psi_l = -q^l s_l(t) for l = 1..D, each on one
     denominator in ascending exponent order and cut at q^cutoff (None keeps
     all), from the powers of the power series w = q t/(1-t):
     q^l s_l(t) = B_l(0)/l q^l + (-1)^l sum_{k=1}^{l} (k-1)! S(l, k) q^(l-k) w^k."""
-    powers = [ScalarSeries({0: 1}), w]
+    powers = [_ZERO, w]  # powers[k] = w^k for k >= 1
     for k in range(2, D + 1):
-        powers.append(scalar_mul(powers[k - 1], w, cutoff))
+        powers.append(mul_parts(_SCALARS, powers[k - 1], w, cutoff))
     rows = [_ZERO]
     for l in range(1, D + 1):
         b = bernoulli(l) / l
-        den = lcm(b.denominator, common_den(p.den for p in powers[1 : l + 1]))
+        den = lcm(b.denominator, common_den(p[1] for p in powers[1 : l + 1]))
         num = {l: -b.numerator * (den // b.denominator)}
         for k in range(1, l + 1):
-            f = (-1) ** (l + 1) * factorial(k - 1) * stirling2(l, k) * (den // powers[k].den)
-            for e, v in powers[k].num.items():
-                num[e + l - k] = num.get(e + l - k, 0) + f * v
+            f = (-1) ** (l + 1) * factorial(k - 1) * stirling2(l, k) * (den // powers[k][1])
+            for e, row in powers[k][0].items():
+                num[e + l - k] = num.get(e + l - k, 0) + f * row[0]
         kept = sorted((e, v) for e, v in num.items() if cutoff is None or e <= cutoff)
-        rows.append(ScalarSeries.reduced(dict(kept), den))
+        rows.append(reduce_part({e: {0: v} for e, v in kept}, den))
     return tuple(rows)
 
 
@@ -160,10 +153,10 @@ def hirzebruch_coefficient(l: int, t):
     if l < 1:
         raise ValueError("index must be positive")
     table, valid, _ = _hirzebruch_table(t, l)
-    s = {e - l: -v for e, v in table[l].items()}
     if isinstance(t, QSeries):
-        return QSeries.from_scalars(t.ring, s, valid)
-    return s.get(0, Fraction(0))
+        return -QSeries._raw(t.ring, table[l], None).shifted(-l).truncated(valid)
+    num, den = table[l]
+    return Fraction(-num[l][0], den) if l in num else Fraction(0)
 
 
 # -- argument rows ----------------------------------------------------------------
@@ -187,29 +180,30 @@ class _RowStore:
 def _euler_rows(D: int, order: int) -> Rows:
     """e_q: phi_l = -(l-1)!/(-q)^l, so psi_l = (-1)^(l+1) (l-1)!, a constant
     at every order."""
-    return _ZERO, *(ScalarSeries({0: (-1) ** (l + 1) * factorial(l - 1)})
-                    for l in range(1, D + 1))
+    return _ZERO, *(({0: {0: (-1) ** (l + 1) * factorial(l - 1)}}, 1) for l in range(1, D + 1))
 
 
 def _todd_rows(first: int, D: int, order: int) -> Rows:
     """psi_j = -sum_{r=j+first}^{order} B_r(0)/r q^r/(r-j)! over r >= 1 (phi_j =
     -sum_{n>=first} B_{n+j}(0)/(n+j) q^n/n!): the equivariant Todd class
     Td(x (x) O(q)) for first = 0, the twist ratio Td(x (x) O(q))/Td(x) for first = 1."""
-    return tuple(ScalarSeries.of((r, -bernoulli(r) / r / factorial(r - j))
-                                 for r in range(max(j + first, 1), order + 1))
+    return tuple(scalar_series((r, -bernoulli(r) / r / factorial(r - j))
+                               for r in range(max(j + first, 1), order + 1))
                  for j in range(D + 1))
 
 
-def _bernoulli_w(order: int) -> ScalarSeries:
+def _bernoulli_w(order: int) -> Part:
     """w = q t/(1-t) = q/(e^q-1) = sum_n B_n(0) q^n/n! at t = exp(-q), to q^order."""
-    return ScalarSeries.of((n, bernoulli(n) / factorial(n)) for n in range(order + 1))
+    return scalar_series((n, bernoulli(n) / factorial(n)) for n in range(order + 1))
 
 
 def _exp_hirzebruch_rows(D: int, order: int) -> Rows:
     """c_t at t = exp(-q) for the rank factor q^rank, up to ``order``: the
     rank row log((1 - exp(-q))/q), minus that of the twist, and the Stirling
     sums psi_l = -q^l s_l(t) over the powers of w."""
-    return -_todd_rows(1, 0, order)[0], *_stirling_rows(_bernoulli_w(order), D, order)[1:]
+    (num, den), = _todd_rows(1, 0, order)
+    rank_row = {r: {0: -row[0]} for r, row in num.items()}, den
+    return rank_row, *_stirling_rows(_bernoulli_w(order), D, order)[1:]
 
 
 _EULER = _RowStore(_euler_rows)
@@ -220,7 +214,7 @@ _HIRZEBRUCH = _RowStore(_exp_hirzebruch_rows)
 
 def _argument(
     ring: Ring, terms: Iterable[tuple["KClass", int, Rows]], q_max: int | None = None
-) -> tuple[ScalarSeries, dict[int, Part]]:
+) -> tuple[Part, dict[int, Part]]:
     """sum over (x, k, rows) of sum_l q^l phi_l(kq) * Ch_l(x), with Ch_0 =
     rank, in the regraded frame and cut at q^q_max there, as its scalar part
     (the rank rows) and its nonzero Chow-degree-l parts (the rows psi_l
@@ -231,37 +225,34 @@ def _argument(
     with the denominator k^P for a row starting at q^(l-P), and each part is
     divided by the content this scaling leaves.  Rows ascend, so each stops
     at q_max (at weight 0, after q^l)."""
-    by_degree: dict[int, list[tuple[ScalarSeries, int, int, ChowElement]]] = {}
+    by_degree: dict[int, list[tuple[Part, int, int, ChowElement]]] = {}
     for x, k, rows in terms:
         if x.ring != ring:
             raise ValueError("ring mismatch")
         for l, psi in enumerate(rows):
             c = ring.const(x.rank) if l == 0 else x.chern_character(l)
-            if psi and c:
-                by_degree.setdefault(l, []).append((psi, k, max(l - next(iter(psi.num)), 0), c))
+            if psi[0] and c:
+                by_degree.setdefault(l, []).append((psi, k, max(l - next(iter(psi[0])), 0), c))
     top = inf if q_max is None else q_max
     powers: dict[int, list[int]] = {}  # k -> [k^0, k^1, ...]
     parts: dict[int, Part] = {}
     for l, items in by_degree.items():
-        den = common_den(psi.den * abs(k**P) * c._den for psi, k, P, c in items)
+        den = common_den(psi[1] * abs(k**P) * c._den for psi, k, P, c in items)
         acc: dict[int, dict[int, int]] = {}
-        for psi, k, P, c in items:
-            f, stop = den // (psi.den * k**P * c._den), top if k else min(top, l)
+        for (num, psi_den), k, P, c in items:
+            f, stop = den // (psi_den * k**P * c._den), top if k else min(top, l)
             pw = powers.setdefault(k, [1])
-            for _ in range(len(pw), min(stop, next(reversed(psi.num))) - l + P + 1):
+            for _ in range(len(pw), min(stop, next(reversed(num))) - l + P + 1):
                 pw.append(pw[-1] * k)
-            for r, v in psi.num.items():
+            for r, row in num.items():
                 if r > stop:
                     break
-                out, fv = acc.setdefault(r, {}), f * v * pw[r - l + P]
+                out, fv = acc.setdefault(r, {}), f * row[0] * pw[r - l + P]
                 for i, a in c._num.items():
                     out[i] = out.get(i, 0) + fv * a
-        g = gcd(den, *(gcd(*row.values()) for row in acc.values()))
-        acc = {e: nz for e, row in acc.items() if (nz := {i: v // g for i, v in row.items() if v})}
-        if acc:
-            parts[l] = (acc, den // g)
-    num, den = parts.pop(0, ({}, 1))
-    return ScalarSeries.reduced({e: row[0] for e, row in num.items()}, den), parts
+        if (part := reduce_part(acc, den))[0]:
+            parts[l] = part
+    return parts.pop(0, _ZERO), parts
 
 
 def _weighted_product(
@@ -292,9 +283,7 @@ def _weighted_product(
     if any(k == 0 for _, k in ranked):
         raise ValueError("equivariant weight must be nonzero")
     rho = sum(r for r, _ in ranked)
-    num = prod(k**r for r, k in ranked if r > 0)
-    den = prod(k**-r for r, k in ranked if r < 0)
-    rank = ScalarSeries.reduced({rho: num}, den)
+    rank = rho, prod(k**r for r, k in ranked if r > 0), prod(k**-r for r, k in ranked if r < 0)
 
     def at(order: int | None) -> QSeries:
         terms = [(x, k, _EULER(D)) for x, k in euler]
@@ -441,17 +430,16 @@ def hirzebruch_class(t, x: KClass, q_max: int | None = None):
     table, valid, one_minus = _hirzebruch_table(t, ring.truncation)
     if not formal:
         exp = _exp(ring, *_argument(ring, [(x, 1, table)]), None).coefficient(0)
-        return exp * one_minus[0] ** x.rank
+        return exp * (1 - Fraction(t)) ** x.rank
     order = t.q_max
     out_order = min(_q_max_or(q_max, order), order)
-    if x.rank >= 0:
-        rank_data, rank_valid = scalar_pow(one_minus, x.rank, out_order), out_order
-    else:
-        rank_data = scalar_pow(scalar_invert(one_minus, order), -x.rank, out_order)
-        rank_valid = min(order - 1 + x.rank, out_order)
-    rank = QSeries.from_scalars(ring, rank_data, rank_valid)
+    one_minus = QSeries._raw(ring, one_minus, order)
+    factor, rank = one_minus if x.rank >= 0 else one_minus.invert(order), QSeries.one(ring)
+    for _ in range(abs(x.rank)):
+        rank = rank * factor
     scal, nil = _argument(ring, [(x, 1, table)])
-    return rank * _exp(ring, scal, nil, _order(ring, nil, out_order, valid, 0, -1))
+    exp = _exp(ring, scal, nil, _order(ring, nil, out_order, valid, 0, -1))
+    return rank.truncated(out_order) * exp
 
 
 def equivariant_euler(x: KClass, weight: int) -> QSeries:

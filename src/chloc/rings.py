@@ -11,7 +11,9 @@ to a nonzero integer and ``_den`` is reduced against them, so that
 exactly when their numerator maps and denominators are equal, and all
 arithmetic is exact integer arithmetic with one gcd per result.  The public
 methods (``items``, ``coefficient``, ``constant_term``) speak of exponent
-tuples and :class:`~fractions.Fraction` coefficients.
+tuples and :class:`~fractions.Fraction` coefficients.  A :data:`Part` is
+the same store with one more key, the exponent of q: the coefficients of a
+series of :mod:`chloc.series`, reduced by :func:`reduce_part`.
 
 Monomial indices are interned in one table per ring shape
 ``(degrees, truncation)``, held at module level and shared by every equal
@@ -35,6 +37,7 @@ from __future__ import annotations
 import re
 import threading
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -134,14 +137,54 @@ def common_den(dens: Iterable[int]) -> int:
     return den
 
 
+def _content(g: int, rows: Iterable[Iterable[int]]) -> int:
+    """gcd(g, every value of every row): a pairwise fold per row, which stops
+    at 1.  A starred gcd would build its argument tuple, which grows the
+    heap (see :func:`common_den`)."""
+    for values in rows:
+        if g == 1:
+            break
+        g = reduce(gcd, values, g)
+    return g
+
+
+# Chow-valued numerators {exponent: {monomial index: numerator}} over one
+# denominator: the one coefficient store of a q-series (a scalar series is
+# the store on monomial index 0).  Reduced: den > 0, no zero numerator, no
+# empty row, and gcd(den, all numerators) == 1.  Stores share their rows
+# and are never modified.
+Part = tuple[dict[int, dict[int, int]], int]
+
+
+def reduce_part(num: dict[int, dict[int, int]], den: int) -> Part:
+    """num / den for any nonzero den, reduced."""
+    num = {e: row if 0 not in row.values() else {i: v for i, v in row.items() if v}
+           for e, row in num.items() if any(row.values())}
+    if not num:
+        return num, 1
+    if den < 0:
+        num, den = {e: {i: -v for i, v in row.items()} for e, row in num.items()}, -den
+    g = _content(den, map(dict.values, num.values()))
+    if g != 1:
+        num, den = {e: {i: v // g for i, v in row.items()} for e, row in num.items()}, den // g
+    return num, den
+
+
+def mul_parts(table: _Monomials, a: Part, b: Part, cutoff: int | None) -> Part:
+    """The reduced product a * b, exponents above cutoff dropped (None keeps all)."""
+    acc: dict[int, dict[int, int]] = {}
+    multiply_accumulate(table, acc, a[0], b[0], 1, cutoff)
+    return reduce_part(acc, a[1] * b[1])
+
+
 def multiply_accumulate(table: _Monomials, acc: dict, x: dict, y: dict, f: int = 1,
                         cutoff: int | None = None) -> None:
     """The one multiply-accumulate kernel: acc[e1 + e2][k] += f * a * b over
     the integer numerators a = x[e1][i] and b = y[e2][j], where m_k = m_i * m_j
     lies within the truncation and e1 + e2 <= cutoff (None keeps every
-    exponent).  x and y map an exponent to ``{monomial index: numerator}``; a
-    Chow product is the one-exponent case ``{0: num}``.  The caller owns the
-    common denominator and reduces each output coefficient once."""
+    exponent).  x and y are the numerators of a :data:`Part`; a Chow product
+    is the one-exponent case ``{0: num}``.  The caller owns the common
+    denominator and reduces the result once."""
     rows = table.rows
     ys = sorted((e, list(t.items())) for e, t in y.items())
     for e1, xs in x.items():
@@ -330,11 +373,7 @@ class ChowElement:
         num = {i: v for i, v in num.items() if v}
         if not num:
             return cls._raw(ring, num, 1)
-        g = den
-        for v in num.values():
-            if g == 1:
-                return cls._raw(ring, num, den)
-            g = gcd(g, v)
+        g = _content(den, (num.values(),))
         if g != 1:
             num = {i: v // g for i, v in num.items()}
             den //= g

@@ -26,12 +26,14 @@ Truncation bookkeeping:
   working order once and asks for it; a result short of the target raises
   ArithmeticError.
 
-Every kernel works on integer numerators over one positive denominator,
-as :mod:`chloc.rings` does (FLINT's ``fmpq_poly``): a :class:`ScalarSeries`
-keyed by exponent, a Chow-valued ``Part`` keyed by (exponent, monomial).  A
-product of series is one call of the multiply-accumulate kernel of
-:mod:`chloc.rings` on the factors' common denominators, and each output
-coefficient is reduced once.
+A series is stored as one reduced :data:`~chloc.rings.Part`: integer
+numerators keyed by (exponent, monomial index) over one positive
+denominator, as :mod:`chloc.rings` stores a class (FLINT's ``fmpq_poly``).
+A scalar series is the same store on monomial index 0.  A product of series
+is one call of the multiply-accumulate kernel of :mod:`chloc.rings` and one
+reduce of the whole result; a sum is one merge on the common denominator.
+Chow coefficients are built only when asked for (``coefficient``,
+``negative_part``, ``str``), each reduced on its own.
 
 exp and invert work degree by degree in the Chow grading.  With A_j the
 Chow-degree-j part of the argument (A_0 its scalar part), E = exp(A) has
@@ -45,9 +47,9 @@ all j on one denominator, the 1/d of exp folded into it; the parts sit on
 monomials of distinct degrees, so their sum is a merge, and the whole exp
 or inverse costs about one truncated product.
 
-The scalar kernels at the bottom are integer linear recurrences on
-:class:`ScalarSeries`; ``scalar_exp`` carries E_m as N_m / (m! s^m) for
-the denominator s of its argument, so no step divides.
+The scalar kernels at the bottom are integer linear recurrences on scalar
+series; ``scalar_exp`` carries E_m as N_m / (m! s^m) for the denominator s
+of its argument, so no step divides.
 
 All values are immutable and operations are pure.
 """
@@ -56,65 +58,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from math import factorial, gcd, perm
+from math import factorial, lcm, perm
 from typing import Callable
 
-from .rings import ChowElement, Ring, Scalar, _exact, _q_max_or, _require_int
-from .rings import common_den, multiply_accumulate
+from .rings import ChowElement, Part, Ring, Scalar, _exact, _q_max_or, _require_int
+from .rings import common_den, mul_parts, multiply_accumulate, reduce_part
 
-# Chow-valued numerators {exponent: {monomial index: numerator}} over one
-# positive denominator.
-Part = tuple[dict[int, dict[int, int]], int]
-
-
-class ScalarSeries(Mapping):
-    """A scalar Laurent series: ``num`` maps an exponent to a nonzero integer
-    numerator over the positive denominator ``den``, and
-    ``gcd(den, *num.values()) == 1``.  Immutable; as a read-only mapping it
-    shows exponent -> Fraction."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: dict[int, int], den: int = 1):
-        self.num = num  # pruned of zeros and reduced against den > 0
-        self.den = den
-
-    @classmethod
-    def reduced(cls, num: dict[int, int], den: int) -> "ScalarSeries":
-        """num / den for any nonzero den, zeros pruned, common factor removed."""
-        num = {e: v for e, v in num.items() if v}
-        if den < 0:
-            num, den = {e: -v for e, v in num.items()}, -den
-        g = gcd(den, *num.values())
-        if g != 1:
-            num, den = {e: v // g for e, v in num.items()}, den // g
-        return cls(num, den)
-
-    @classmethod
-    def of(cls, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]]) -> "ScalarSeries":
-        """The series of exact rationals given by exponent."""
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        terms = [(e, _exact(c)) for e, c in items]
-        den = common_den(c.denominator for _, c in terms)
-        num: dict[int, int] = {}
-        for e, c in terms:
-            num[e] = num.get(e, 0) + c.numerator * (den // c.denominator)
-        return cls.reduced(num, den)
-
-    def __getitem__(self, e: int) -> Fraction:
-        return Fraction(self.num[e], self.den)
-
-    def __iter__(self):
-        return iter(self.num)
-
-    def __len__(self) -> int:
-        return len(self.num)
-
-    def __neg__(self) -> "ScalarSeries":
-        return ScalarSeries({e: -v for e, v in self.num.items()}, self.den)
-
-
-_ONE = ScalarSeries({0: 1})
+_ONE: Part = ({0: {0: 1}}, 1)
 
 
 class NotConvergentError(Exception):
@@ -133,27 +83,35 @@ class NotConvergentError(Exception):
 class QSeries:
     """Laurent series in q over a truncated graded ring."""
 
-    __slots__ = ("ring", "_coeffs", "q_max")
+    __slots__ = ("ring", "_num", "_den", "q_max")
 
     def __init__(self, ring: Ring, coeffs: Mapping[int, ChowElement], q_max: int | None = None):
-        clean: dict[int, ChowElement] = {}
+        if q_max is not None:
+            _require_int(q_max=q_max)
+        kept = []
         for e, c in coeffs.items():
             _require_int(exponent=e)
+            if not isinstance(c, ChowElement):
+                raise TypeError(f"the coefficient of q^{e} must be a ChowElement, "
+                                f"not {type(c).__name__}")
             if c.ring != ring:
                 raise ValueError("coefficient ring mismatch")
-            if q_max is not None and e > q_max:
-                continue
-            if not c.is_zero:
-                clean[e] = c
+            if c._num and (q_max is None or e <= q_max):
+                kept.append((e, c))
+        # reduced classes on their lcm share no common factor
+        den = common_den(c._den for _, c in kept)
         self.ring = ring
-        self._coeffs = clean
+        self._num = {e: c._num if c._den == den else
+                     {i: v * (den // c._den) for i, v in c._num.items()} for e, c in kept}
+        self._den = den
         self.q_max = q_max
 
     @classmethod
-    def _raw(cls, ring: Ring, coeffs: dict[int, ChowElement], q_max: int | None):
+    def _raw(cls, ring: Ring, part: Part, q_max: int | None):
+        # Internal fast path: part must be reduced and end at q_max.
         self = object.__new__(cls)
         self.ring = ring
-        self._coeffs = coeffs
+        self._num, self._den = part
         self.q_max = q_max
         return self
 
@@ -184,14 +142,17 @@ class QSeries:
     # -- inspection -------------------------------------------------------------
 
     def coefficient(self, e: int) -> ChowElement:
-        return self._coeffs.get(e, self.ring.zero())
+        row = self._num.get(e)
+        if row is None:
+            return self.ring.zero()
+        return ChowElement._reduced(self.ring, row, self._den)
 
     def exponents(self) -> list[int]:
-        return sorted(self._coeffs)
+        return sorted(self._num)
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def is_exact(self) -> bool:
@@ -200,11 +161,11 @@ class QSeries:
     @property
     def is_convergent(self) -> bool:
         """True when no stored coefficient sits at a negative exponent."""
-        return all(e >= 0 for e in self._coeffs)
+        return all(e >= 0 for e in self._num)
 
     def negative_part(self) -> list[tuple[int, ChowElement]]:
         """All (exponent, coefficient) pairs with exponent < 0, ascending."""
-        return sorted(((e, c) for e, c in self._coeffs.items() if e < 0), key=lambda t: t[0])
+        return [(e, self.coefficient(e)) for e in self.exponents() if e < 0]
 
     def limit(self) -> ChowElement:
         """The constant coefficient; raises NotConvergentError on q-poles.
@@ -223,19 +184,23 @@ class QSeries:
     def truncated(self, q_max: int) -> "QSeries":
         _require_int(q_max=q_max)
         eff = q_max if self.q_max is None else min(q_max, self.q_max)
-        return QSeries._raw(self.ring, {e: c for e, c in self._coeffs.items() if e <= eff}, eff)
+        part = self._num, self._den
+        if any(e > eff for e in self._num):  # what is left may share a factor
+            part = reduce_part({e: row for e, row in self._num.items() if e <= eff}, self._den)
+        return QSeries._raw(self.ring, part, eff)
 
     def shifted(self, k: int) -> "QSeries":
         """Multiply by q^k."""
         _require_int(k=k)
         q_max = None if self.q_max is None else self.q_max + k
-        return QSeries._raw(self.ring, {e + k: c for e, c in self._coeffs.items()}, q_max)
+        return QSeries._raw(self.ring, ({e + k: row for e, row in self._num.items()}, self._den),
+                            q_max)
 
     def _ord_bound(self) -> int | None:
         # Lower bound on the valuation, for truncation bookkeeping; None
         # means the series is exactly zero.
-        if self._coeffs:
-            return min(self._coeffs)
+        if self._num:
+            return min(self._num)
         return None if self.q_max is None else self.q_max + 1
 
     # -- arithmetic ------------------------------------------------------------
@@ -259,22 +224,22 @@ class QSeries:
             return NotImplemented
         self._check(o)
         q_max = min((x.q_max for x in (self, o) if x.q_max is not None), default=None)
-        out = dict(self._coeffs)
-        for e, c in o._coeffs.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        if q_max is not None:
-            out = {e: c for e, c in out.items() if e <= q_max}
-        return QSeries._raw(self.ring, out, q_max)
+        den = lcm(self._den, o._den)
+        out: dict[int, dict[int, int]] = {}
+        for x in (self, o):
+            f = den // x._den
+            for e, row in x._num.items():
+                if q_max is None or e <= q_max:
+                    acc = out.setdefault(e, {})
+                    for i, v in row.items():
+                        acc[i] = acc.get(i, 0) + v * f
+        return QSeries._raw(self.ring, reduce_part(out, den), q_max)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries._raw(self.ring, {e: -c for e, c in self._coeffs.items()}, self.q_max)
+        num = {e: {i: -v for i, v in row.items()} for e, row in self._num.items()}
+        return QSeries._raw(self.ring, (num, self._den), self.q_max)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -286,40 +251,17 @@ class QSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            out = {e: v * other for e, v in self._coeffs.items()} if other else {}
-            return QSeries._raw(self.ring, out, self.q_max)
-        if isinstance(other, ChowElement):
-            if other.ring != self.ring:
-                raise ValueError("ring mismatch")
-            out = {}
-            for e, v in self._coeffs.items():
-                p = v * other
-                if not p.is_zero:
-                    out[e] = p
-            return QSeries._raw(self.ring, out, self.q_max)
-        if not isinstance(other, QSeries):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        self._check(other)
+        self._check(o)
         # Exact zero factors give an exact zero product.
-        if (not self._coeffs and self.q_max is None) or (
-            not other._coeffs and other.q_max is None
-        ):
-            return QSeries._raw(self.ring, {}, None)
-        bounds = []
-        for x, y in ((self, other), (other, self)):
-            if x.q_max is not None:
-                o = y._ord_bound()
-                if o is None:
-                    return QSeries._raw(self.ring, {}, None)
-                bounds.append(x.q_max + o)
-        q_max = min(bounds) if bounds else None
-        (x, dx), (y, dy) = _lift(self._coeffs), _lift(other._coeffs)
-        acc: dict[int, dict[int, int]] = {}
-        multiply_accumulate(self.ring._mono, acc, x, y, 1, q_max)
-        ring, den = self.ring, dx * dy
-        out = {e: c for e, num in acc.items() if (c := ChowElement._reduced(ring, num, den))}
-        return QSeries._raw(ring, out, q_max)
+        if (not self._num and self.q_max is None) or (not o._num and o.q_max is None):
+            return QSeries._raw(self.ring, ({}, 1), None)
+        q_max = min((x.q_max + y._ord_bound() for x, y in ((self, o), (o, self))
+                     if x.q_max is not None), default=None)
+        part = mul_parts(self.ring._mono, (self._num, self._den), (o._num, o._den), q_max)
+        return QSeries._raw(self.ring, part, q_max)
 
     __rmul__ = __mul__
 
@@ -337,7 +279,7 @@ class QSeries:
         is again exact.
         """
         ring = self.ring
-        if not self._coeffs:
+        if not self._num:
             raise ZeroDivisionError("cannot invert the zero series")
         # self = P + N for its scalar part P = c q^e_star (1 + u_0) and its
         # nilpotent part N: 1/self = P^-1 (1 + V)^-1 with V = P^-1 N, so the
@@ -345,19 +287,18 @@ class QSeries:
         # power series by the grading bound of u = self / (c q^e_star) - 1:
         # F_d is cut at top + D, V_j at top + D + e_star, as F_d >= q^-e_star.
         scal, nil = self._split()
-        if not scal:
+        if not scal[0]:
             raise ValueError("not invertible: no coefficient has a nonzero scalar part")
-        e_star = min(scal.num)
-        exact = self.q_max is None and len(scal) == 1
+        e_star = min(scal[0])
+        exact = self.q_max is None and len(scal[0]) == 1
         top = None if exact else _order(ring, nil, q_max, self.q_max, e_star, 0)
         cut = None if exact else top + ring.truncation + e_star
-        inv = scalar_invert(scal, -e_star if exact else cut - e_star)
-        lifted = {e: {0: n} for e, n in inv.num.items()}
+        inv, inv_den = scalar_invert(scal, -e_star if exact else cut - e_star)
         v = {}
         for j, (num, den) in nil.items():
-            v[j] = ({}, inv.den * den)
-            multiply_accumulate(ring._mono, v[j][0], lifted, num, -1, cut)
-        return QSeries._raw(ring, _graded_series(ring, inv, v, top, False), top)
+            v[j] = ({}, inv_den * den)
+            multiply_accumulate(ring._mono, v[j][0], inv, num, -1, cut)
+        return QSeries._raw(ring, _graded_series(ring, (inv, inv_den), v, top, False), top)
 
     # -- exponential ---------------------------------------------------------------
 
@@ -369,21 +310,22 @@ class QSeries:
         If the input is exact and has no scalar part the result is exact.
         """
         scal, nil = self._split()
-        exact = self.q_max is None and not scal
+        exact = self.q_max is None and not scal[0]
         top = None if exact else _order(self.ring, nil, q_max, self.q_max, 0, -1)
         return _exp(self.ring, scal, nil, top)
 
-    def _split(self) -> tuple[ScalarSeries, dict[int, Part]]:
-        """The scalar parts of the coefficients, and their nilpotent parts
-        by Chow degree in the regraded frame, each over one denominator:
-        ``{j: part}`` for j >= 1, the degree-j part at q^e keyed by e + j."""
-        split: dict[int, dict[int, ChowElement]] = {}
-        for e, c in self._coeffs.items():
-            for j, part in c.graded_parts().items():
-                split.setdefault(j, {})[e + j] = part
-        parts = {j: _lift(by_exp) for j, by_exp in split.items()}
-        num, den = parts.pop(0, ({}, 1))
-        return ScalarSeries.reduced({e: row[0] for e, row in num.items()}, den), parts
+    def _split(self) -> tuple[Part, dict[int, Part]]:
+        """The scalar part of the series, and its nilpotent parts by Chow
+        degree in the regraded frame: ``{j: part}`` for j >= 1, the degree-j
+        part at q^e keyed by e + j."""
+        degree = self.ring._mono.degree
+        split: dict[int, dict[int, dict[int, int]]] = {}
+        for e, row in self._num.items():
+            for i, v in row.items():
+                j = degree[i]
+                split.setdefault(j, {}).setdefault(e + j, {})[i] = v
+        parts = {j: reduce_part(num, self._den) for j, num in split.items()}
+        return parts.pop(0, ({}, 1)), parts
 
     # -- comparison / display --------------------------------------------------------
 
@@ -396,16 +338,15 @@ class QSeries:
         if self.ring != other.ring:
             return False
         bound = min((x.q_max for x in (self, other) if x.q_max is not None), default=None)
-        if bound is None:
-            return self._coeffs == other._coeffs
-        return self.truncated(bound)._coeffs == other.truncated(bound)._coeffs
+        a, b = (self, other) if bound is None else (self.truncated(bound), other.truncated(bound))
+        return a._den == b._den and a._num == b._num
 
     __hash__ = None
 
     def __str__(self) -> str:
         parts = []
         for e in self.exponents():
-            c = self._coeffs[e]
+            c = self.coefficient(e)
             if e == 0:
                 parts.append(f"({c})")
             elif e == 1:
@@ -419,15 +360,6 @@ class QSeries:
 
     def __repr__(self) -> str:
         return f"<QSeries {self}>"
-
-
-def _lift(coeffs: dict[int, ChowElement]) -> Part:
-    """Chow coefficients by exponent brought to one denominator."""
-    den = common_den(c._den for c in coeffs.values())
-    return {
-        e: c._num if c._den == den else {i: v * (den // c._den) for i, v in c._num.items()}
-        for e, c in coeffs.items()
-    }, den
 
 
 def _order(ring: Ring, nil: dict[int, Part], q_max: int | None, input_order: int | None,
@@ -449,29 +381,30 @@ def _order(ring: Ring, nil: dict[int, Part], q_max: int | None, input_order: int
     return target if input_order is None else min(target, input_order - 2 * shift - pad)
 
 
-def _exp(ring: Ring, scal: ScalarSeries, nil: dict[int, Part], q_max: int | None,
-         rank: ScalarSeries = _ONE) -> QSeries:
-    """rank * exp(A), A with the scalar part ``scal`` at positive exponents
-    and the regraded nonzero Chow-degree parts ``nil`` of
-    :meth:`QSeries._split`, with exp(A) up to q^q_max (None: exact, which
-    needs an A with no scalar part).  The exact scalar series ``rank``
-    enters through F_0, as the recurrence is linear in it, and shifts the
-    order by its lowest exponent."""
-    D, top = ring.truncation, None if q_max is None else q_max + min(rank.num)
-    exp_scal = scalar_exp(scal, q_max + D) if scal else _ONE
-    first = scalar_mul(rank, exp_scal, None if top is None else top + D)
+def _exp(ring: Ring, scal: Part, nil: dict[int, Part], q_max: int | None,
+         rank: tuple[int, int, int] = (0, 1, 1)) -> QSeries:
+    """c q^rho * exp(A) for ``rank`` = (rho, c numerator, c denominator), A
+    with the scalar part ``scal`` at positive exponents and the regraded
+    nonzero Chow-degree parts ``nil`` of :meth:`QSeries._split`, with exp(A)
+    up to q^q_max (None: exact, which needs an A with no scalar part).  The
+    exact rank factor enters through F_0, as the recurrence is linear in it,
+    and shifts the order by rho."""
+    (rho, c, dc), D = rank, ring.truncation
+    top = None if q_max is None else q_max + rho
+    num, den = scalar_exp(scal, q_max + D) if scal[0] else _ONE
+    first = reduce_part({e + rho: {0: c * row[0]} for e, row in num.items()}, dc * den)
     return QSeries._raw(ring, _graded_series(ring, first, nil, top, True), top)
 
 
-def _graded_series(ring: Ring, first: ScalarSeries, parts: dict[int, Part], top: int | None,
-                   exp: bool) -> dict[int, ChowElement]:
-    """The coefficients up to q^top (None keeps all) of sum_{d=0}^{D} F_d,
-    each F_d given in the regraded frame: F_0 = ``first`` and
+def _graded_series(ring: Ring, first: Part, parts: dict[int, Part], top: int | None,
+                   exp: bool) -> Part:
+    """The series up to q^top (None keeps all) sum_{d=0}^{D} F_d, each F_d
+    given in the regraded frame: F_0 = ``first`` and
     F_d = sum_{j=1}^{d} parts[j] F_{d-j}, or F_d = (1/d) sum_j j parts[j]
     F_{d-j} when ``exp``, each one integer accumulate on one denominator,
     for the degree-j part ``parts[j]`` moved up by j.  The F_d sit on
-    disjoint monomials, so moving each back by d and summing is a merge,
-    each coefficient reduced once.
+    disjoint monomials, so moving each back by d and summing is a merge on
+    one denominator, reduced once.
 
     Every F_d is cut at the one regraded order top + D.  The parts are power
     series (the grading bound) and F_0 lies above its own lowest exponent,
@@ -479,7 +412,7 @@ def _graded_series(ring: Ring, first: ScalarSeries, parts: dict[int, Part], top:
     and up to q^(top + D - d) >= q^top once moved back."""
     table, D = ring._mono, ring.truncation
     cut = None if top is None else top + D
-    graded: list[Part] = [({e: {0: v} for e, v in first.num.items()}, first.den)]
+    graded: list[Part] = [first]
     for d in range(1, D + 1):
         terms = [(j, parts[j], graded[d - j]) for j in range(1, d + 1)
                  if j in parts and graded[d - j][0]]
@@ -497,13 +430,13 @@ def _graded_series(ring: Ring, first: ScalarSeries, parts: dict[int, Part], top:
                 out = merged.setdefault(r - d, {})
                 for i, v in row.items():
                     out[i] = v * f
-    return {e: c for e, num in merged.items() if (c := ChowElement._reduced(ring, num, den))}
+    return reduce_part(merged, den)
 
 
 def q_exponential(ring: Ring, scale: Scalar, q_max: int | None = None) -> QSeries:
     """The series exp(scale * q) truncated at the requested order."""
     target = _q_max_or(q_max, ring.q_max)
-    return QSeries.from_scalars(ring, scalar_exp(ScalarSeries.of([(1, scale)]), target), target)
+    return QSeries._raw(ring, scalar_exp(scalar_series([(1, scale)]), target), target)
 
 
 def compute_at_precision(fn: Callable[[int], QSeries], target: int, margin: int) -> QSeries:
@@ -520,62 +453,53 @@ def compute_at_precision(fn: Callable[[int], QSeries], target: int, margin: int)
 # -- scalar Laurent kernels ------------------------------------------------------
 
 
-def scalar_mul(a: ScalarSeries, b: ScalarSeries, cutoff: int | None) -> ScalarSeries:
-    """The product, exponents above cutoff dropped (None keeps all)."""
-    out: dict[int, int] = {}
-    b_items = sorted(b.num.items())
-    for e1, x in a.num.items():
-        for e2, y in b_items:
-            e = e1 + e2
-            if cutoff is not None and e > cutoff:
-                break
-            out[e] = out.get(e, 0) + x * y
-    return ScalarSeries.reduced(out, a.den * b.den)
+def scalar_series(terms: Iterable[tuple[int, Scalar]]) -> Part:
+    """The scalar series of exact rationals given by (exponent, value) pairs."""
+    terms = [(e, _exact(c)) for e, c in terms]
+    den = common_den(c.denominator for _, c in terms)
+    num: dict[int, dict[int, int]] = {}
+    for e, c in terms:
+        row = num.setdefault(e, {0: 0})
+        row[0] += c.numerator * (den // c.denominator)
+    return reduce_part(num, den)
 
 
-def scalar_invert(a: ScalarSeries, cutoff: int) -> ScalarSeries:
+def scalar_invert(a: Part, cutoff: int) -> Part:
     """Inverse of a nonzero scalar Laurent series up to q^cutoff, by the
     linear convolution recurrence.  With a = q^e0 P / s and P = sum p_k q^k,
     the inverse is s q^-e0 sum_m N_m q^m / p_0^{m+1} for the integers N_0 = 1
     and N_m = -sum_{k=1}^{m} p_k p_0^{k-1} N_{m-k}."""
-    if not a:
+    num, s = a
+    if not num:
         raise ZeroDivisionError("cannot invert the zero series")
-    e0 = min(a.num)
+    e0 = min(num)
     n = cutoff + e0  # relative order of the result
     if n < 0:
-        return ScalarSeries({})
-    p0 = a.num[e0]
+        return {}, 1
+    p0 = num[e0][0]
     powers = [p0**k for k in range(n + 2)]
-    steps = [(k, a.num[e0 + k] * powers[k - 1]) for k in range(1, n + 1) if e0 + k in a.num]
+    steps = [(k, num[e0 + k][0] * powers[k - 1]) for k in range(1, n + 1) if e0 + k in num]
     out = [1]
     for m in range(1, n + 1):
         out.append(-sum(c * out[m - k] for k, c in steps if k <= m))
-    return ScalarSeries.reduced(
-        {m - e0: a.den * v * powers[n - m] for m, v in enumerate(out)}, powers[n + 1]
-    )
+    return reduce_part({m - e0: {0: s * v * powers[n - m]} for m, v in enumerate(out)},
+                       powers[n + 1])
 
 
-def scalar_exp(a: ScalarSeries, cutoff: int) -> ScalarSeries:
+def scalar_exp(a: Part, cutoff: int) -> Part:
     """exp of a scalar series supported in positive exponents, up to
     q^cutoff, by the derivative recurrence m E_m = sum_j j a_j E_{m-j}.  With
     a_j = A_j / s and E_m = N_m / (m! s^m) it reads
     N_m = sum_j j A_j s^{j-1} (m-1)!/(m-j)! N_{m-j}, all in integers."""
-    if any(e <= 0 for e in a.num):
+    num, s = a
+    if any(e <= 0 for e in num):
         raise ValueError("scalar exp needs positive exponents only")
-    n, s = max(cutoff, 0), a.den
-    steps = sorted((j, j * v * s ** (j - 1)) for j, v in a.num.items() if j <= n)
+    n = max(cutoff, 0)
+    steps = sorted((j, j * row[0] * s ** (j - 1)) for j, row in num.items() if j <= n)
     out = [1]
     for m in range(1, n + 1):
         out.append(sum(c * perm(m - 1, j - 1) * out[m - j] for j, c in steps if j <= m))
-    return ScalarSeries.reduced(
-        {m: v * (factorial(n) // factorial(m)) * s ** (n - m) for m, v in enumerate(out)},
+    return reduce_part(
+        {m: {0: v * (factorial(n) // factorial(m)) * s ** (n - m)} for m, v in enumerate(out)},
         factorial(n) * s**n,
     )
-
-
-def scalar_pow(a: ScalarSeries, n: int, cutoff: int | None) -> ScalarSeries:
-    """a^n for n >= 0, exponents above cutoff dropped (None keeps all)."""
-    out = _ONE
-    for _ in range(n):
-        out = scalar_mul(out, a, cutoff)
-    return out

@@ -5,7 +5,10 @@ The truncated-series oracles work on plain coefficient lists and
 library's ring or series machinery, so agreement
 between these expansions and the library is a genuine cross-check.  The
 truncated-polynomial oracles work the same way on plain
-``{exponent tuple: Fraction}`` maps, apart from ``chloc.rings``.  The
+``{exponent tuple: Fraction}`` maps, apart from ``chloc.rings``, and the
+Chow-Laurent oracles on ``{exponent: {exponent tuple: Fraction}}`` maps,
+one Fraction per coefficient, where ``QSeries`` keeps one store of integer
+numerators over one denominator.  The
 power-sum oracle for exp and invert multiplies whole series with
 ``QSeries`` products, which ``test_series`` checks against the schoolbook
 double loop.  The I-function oracles multiply linear forms out as
@@ -137,6 +140,48 @@ def laurent_inv(a: dict, cutoff: int) -> dict:
         return {}
     inv = ser_inv([Fraction(a.get(e0 + i, 0)) for i in range(n + 1)], n)
     return {i - e0: c for i, c in enumerate(inv) if c}
+
+
+def chow_laurent_add(a: dict, b: dict, cutoff) -> dict:
+    """The sum of two ``{exponent: {exponent tuple: Fraction}}`` maps,
+    coefficient by coefficient, exponents above cutoff dropped (None keeps all)."""
+    out = {e: poly_add(a.get(e, {}), b.get(e, {})) for e in a.keys() | b.keys()}
+    return {e: c for e, c in out.items() if c and (cutoff is None or e <= cutoff)}
+
+
+def chow_laurent_mul(a: dict, b: dict, degrees, truncation: int, cutoff) -> dict:
+    """The product of two ``{exponent: {exponent tuple: Fraction}}`` maps by
+    the schoolbook double loop, each coefficient product by :func:`poly_mul`,
+    exponents above cutoff dropped (None keeps all)."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            if cutoff is None or e1 + e2 <= cutoff:
+                term = poly_mul(c1, c2, degrees, truncation)
+                out[e1 + e2] = poly_add(out.get(e1 + e2, {}), term)
+    return {e: c for e, c in out.items() if c}
+
+
+def chow_laurent_exp(a: dict, degrees, truncation: int, cutoff) -> dict:
+    """exp(a) up to q^cutoff (None: exact, for a with no scalar part) for a
+    ``{exponent: {exponent tuple: Fraction}}`` map whose scalar part sits at
+    positive exponents: :func:`laurent_exp` of the scalar part times the
+    finite sum of N^m / m! over the nilpotent part N (monomials of positive
+    degree, so N^(truncation + 1) = 0), a Laurent polynomial that starts at
+    q^-truncation or above."""
+    one = (0,) * len(degrees)
+    scalar = {e: c[one] for e, c in a.items() if one in c}
+    nil = {e: n for e, c in a.items() if (n := {m: v for m, v in c.items() if m != one})}
+    total = power = {0: {one: Fraction(1)}}
+    for m in range(1, truncation + 1):
+        power = chow_laurent_mul(power, nil, degrees, truncation, None)
+        scaled = {e: poly_scale(Fraction(1, factorial(m)), c) for e, c in power.items()}
+        total = chow_laurent_add(total, scaled, None)
+    if not scalar:
+        return {e: c for e, c in total.items() if cutoff is None or e <= cutoff}
+    exp_scalar = laurent_exp(scalar, cutoff + truncation)
+    lifted = {e: {one: c} for e, c in exp_scalar.items()}
+    return chow_laurent_mul(lifted, total, degrees, truncation, cutoff)
 
 
 def ser_trim(a: list[Fraction], order: int) -> list[Fraction]:

@@ -59,6 +59,7 @@ def _int_entry_points():
         "ring q_max": ("q_max", lambda w: Ring([("a", 1)], 2, w)),
         "element exponent": ("exponent", lambda w: r.element({(w,): 1})),
         "series exponent": ("exponent", lambda w: QSeries(r, {w: a})),
+        "series order": ("q_max", lambda w: QSeries(r, {0: a}, w)),
         "series shift": ("k", lambda w: s.shifted(w)),
         "series truncation": ("q_max", lambda w: s.truncated(w)),
         "exp order": ("q_max", lambda w: s.exp(w)),

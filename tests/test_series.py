@@ -5,17 +5,14 @@ from random import Random
 import pytest
 
 from chloc import NotConvergentError, QSeries, Ring, q_exponential
+from chloc.rings import mul_parts
 from chloc.sampling import sample_chow, sample_ring
-from chloc.series import (
-    ScalarSeries,
-    compute_at_precision,
-    scalar_exp,
-    scalar_invert,
-    scalar_mul,
-    scalar_pow,
-)
+from chloc.series import compute_at_precision, scalar_exp, scalar_invert, scalar_series
 
 from oracles import (
+    chow_laurent_add,
+    chow_laurent_exp,
+    chow_laurent_mul,
     laurent_exp,
     laurent_inv,
     laurent_mul,
@@ -397,35 +394,188 @@ def _row(rng, exponents) -> dict[int, F]:
     return {e: F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7])) for e in picked}
 
 
-def _is_canonical(s: ScalarSeries) -> bool:
-    return s.den > 0 and all(s.num.values()) and (not s.num or gcd(s.den, *s.num.values()) == 1)
+def _is_canonical(part) -> bool:
+    """The reduced store: den > 0, no zero numerator or empty row, no common factor."""
+    num, den = part
+    values = [v for row in num.values() for v in row.values()]
+    return den > 0 and all(num.values()) and all(values) and (not num or gcd(den, *values) == 1)
+
+
+def _scalars_of(part) -> dict[int, F]:
+    """A scalar series (the store on monomial index 0) as {exponent: Fraction}."""
+    num, den = part
+    assert all(row.keys() == {0} for row in num.values())
+    return {e: F(row[0], den) for e, row in num.items()}
+
+
+_TABLE = Ring([], 0)._mono  # scalar products: monomial index 0 only
+_ONE = ({0: {0: 1}}, 1)
+
+
+def _power(part, n, cutoff):
+    out = _ONE
+    for _ in range(n):
+        out = mul_parts(_TABLE, out, part, cutoff)
+    return out
 
 
 def test_scalar_kernels_match_fraction_oracles():
     rng = Random(1313)
-    zero = ScalarSeries.of({})
+    zero = scalar_series([])
     for trial in range(300):
         a, b = _row(rng, range(-3, 7)), _row(rng, range(-3, 7))
         cutoff = 0 if trial % 5 == 0 else rng.randint(-2, 12)
-        sa, sb = ScalarSeries.of(a), ScalarSeries.of(b)
+        sa, sb = scalar_series(a.items()), scalar_series(b.items())
         a = {e: c for e, c in a.items() if c}
-        assert dict(sa) == a and _is_canonical(sa)
+        assert _scalars_of(sa) == a and _is_canonical(sa)
         for cut in (cutoff, None):
-            got = scalar_mul(sa, sb, cut)
-            assert dict(got) == laurent_mul(a, b, cut) and _is_canonical(got)
+            got = mul_parts(_TABLE, sa, sb, cut)
+            assert _scalars_of(got) == laurent_mul(a, b, cut) and _is_canonical(got)
         n = rng.randint(0, 4)
-        got = scalar_pow(sa, n, cutoff)
-        assert dict(got) == laurent_pow(a, n, cutoff) and _is_canonical(got)
+        got = _power(sa, n, cutoff)
+        assert _scalars_of(got) == laurent_pow(a, n, cutoff) and _is_canonical(got)
         positive = {e: c for e, c in a.items() if e > 0}
-        got = scalar_exp(ScalarSeries.of(positive), cutoff)
-        assert dict(got) == laurent_exp(positive, max(cutoff, 0)) and _is_canonical(got)
+        got = scalar_exp(scalar_series(positive.items()), cutoff)
+        assert _scalars_of(got) == laurent_exp(positive, max(cutoff, 0)) and _is_canonical(got)
         if a:  # a lowest exponent above 0 puts poles in the inverse
             got = scalar_invert(sa, cutoff)
-            assert dict(got) == laurent_inv(a, cutoff) and _is_canonical(got)
-    assert scalar_mul(zero, ScalarSeries.of({1: F(1, 2)}), 4) == zero
-    assert dict(scalar_exp(zero, 5)) == {0: 1} and dict(scalar_pow(zero, 0, 3)) == {0: 1}
-    assert scalar_pow(zero, 2, 3) == zero
+            assert _scalars_of(got) == laurent_inv(a, cutoff) and _is_canonical(got)
+    assert mul_parts(_TABLE, zero, scalar_series([(1, F(1, 2))]), 4) == zero
+    assert _scalars_of(scalar_exp(zero, 5)) == {0: 1} and _scalars_of(_power(zero, 0, 3)) == {0: 1}
+    assert _power(zero, 2, 3) == zero
     with pytest.raises(ZeroDivisionError):
         scalar_invert(zero, 3)
     with pytest.raises(ValueError):
-        scalar_exp(ScalarSeries.of({0: 1}), 3)
+        scalar_exp(scalar_series([(0, 1)]), 3)
+
+
+# -- the one reduced store against per-coefficient Fraction oracles ------------------------
+
+
+def _stored(s: QSeries) -> dict:
+    """The series read from its store as {exponent: {exponent tuple: Fraction}},
+    after checking that the store is reduced and ends at q_max."""
+    part = s._num, s._den
+    assert _is_canonical(part), part
+    assert s.q_max is None or all(e <= s.q_max for e in s._num)
+    exps = s.ring._mono.exps
+    return {e: {exps[i]: F(v, s._den) for i, v in row.items()} for e, row in s._num.items()}
+
+
+def _same_store(x: QSeries, y: QSeries) -> bool:
+    return (x._num, x._den, x.q_max) == (y._num, y._den, y.q_max)
+
+
+def _seeded_series(rng, ring, exact=None):
+    """Rational nilpotent coefficients with poles as the grading bound
+    allows, rational scalars at q^1..q^3, and an exact or finite order."""
+    D = ring.truncation
+    nil = _graded_nilpotent(rng, ring, rng.sample(range(-D, 4), rng.randint(0, D + 3)))
+    scal = _scalars(rng)
+    coeffs = {e: nil.get(e, ring.zero()) + scal.get(e, 0) for e in set(nil) | set(scal)}
+    exact = rng.random() < 0.4 if exact is None else exact
+    return QSeries(ring, coeffs, None if exact else rng.randint(-1, 8))
+
+
+def _min_order(*series):
+    return min((x.q_max for x in series if x.q_max is not None), default=None)
+
+
+def _product_order(a: QSeries, b: QSeries):
+    """min(a.q_max + ord(b), b.q_max + ord(a)) over the finite orders, where
+    a zero series known to q^n has order n + 1; no factor here is an exact zero."""
+    bounds = [x.q_max + min(y.exponents() or [y.q_max + 1])
+              for x, y in ((a, b), (b, a)) if x.q_max is not None]
+    return min(bounds, default=None)
+
+
+def test_store_is_reduced_and_matches_fraction_oracles():
+    rng = Random(2323)
+    for ring in _oracle_rings(rng) * 4:
+        degrees, D = ring.degrees, ring.truncation
+        a, b = _seeded_series(rng, ring), _seeded_series(rng, ring)
+        fa, fb = _stored(a), _stored(b)
+        # sums and differences: one merge, cut at the smaller order
+        q = _min_order(a, b)
+        got = a + b
+        assert got.q_max == q and _stored(got) == chow_laurent_add(fa, fb, q)
+        neg_b = {e: {m: -v for m, v in c.items()} for e, c in fb.items()}
+        got = a - b
+        assert got.q_max == q and _stored(got) == chow_laurent_add(fa, neg_b, q)
+        # products by an int, a Fraction, a class and a series
+        c = sample_chow(rng, ring, rng.randint(0, D)) + rng.choice([0, 1, F(-3, 4)])
+        for factor in (rng.choice([-3, 2, 6]), F(rng.choice([-5, 1, 7]), rng.choice([2, 9])), c):
+            scalar = isinstance(factor, (int, F))
+            as_map = {0: {(0,) * ring.ngens: F(factor)} if scalar else dict(factor.items())}
+            got = a * factor
+            if not a.is_zero and as_map[0]:
+                assert got.q_max == a.q_max
+                expected = chow_laurent_mul(fa, as_map, degrees, D, a.q_max)
+                assert _stored(got) == expected and _stored(factor * a) == expected
+        if not a.is_zero and not b.is_zero:
+            got = a * b
+            q = _product_order(a, b)
+            assert got.q_max == q and _stored(got) == chow_laurent_mul(fa, fb, degrees, D, q)
+        assert (a * 0).is_zero and (a * 0).is_exact and _stored(a * ring.zero()) == {}
+        # truncation and shifts
+        n, k = rng.randint(-2, 6), rng.randint(-3, 3)
+        got = a.truncated(n)
+        assert _stored(got) == {e: c for e, c in fa.items() if e <= got.q_max}
+        got = a.shifted(k)
+        assert _stored(got) == {e + k: c for e, c in fa.items()}
+        # exp, against the scalar exp times the nilpotent power sum
+        order = rng.choice([None, rng.randint(-1, 8)])
+        got = a.exp(order)
+        assert _stored(got) == chow_laurent_exp(fa, degrees, D, got.q_max)
+        # invert: s * s^-1 = 1 up to the product's order, for s = c q^k (1 + a)
+        s = (a * rng.choice([1, -2, F(3, 5)]) + rng.choice([1, F(-1, 3)])).shifted(k)
+        if not any(s.coefficient(e).constant_term for e in s.exponents()):
+            continue
+        inv = s.invert(order)
+        q = _product_order(s, inv)
+        product = chow_laurent_mul(_stored(s), _stored(inv), degrees, D, q)
+        assert product == ({0: {(0,) * ring.ngens: F(1)}} if q is None or q >= 0 else {})
+
+
+def test_equal_values_have_equal_stores():
+    rng = Random(2424)
+    for ring in _oracle_rings(rng) * 4:
+        a, b = _seeded_series(rng, ring), _seeded_series(rng, ring)
+        q = _min_order(a, b)
+        routes = [
+            ((a + b) - b, a if q is None else a.truncated(q)),
+            (a * 6 * F(1, 6), a),
+            (a * F(2, 3) + a * F(1, 3), a),
+            (a.shifted(3).shifted(-3), a),
+            (QSeries(ring, {e: a.coefficient(e) for e in a.exponents()}, a.q_max), a),
+            (-(-a), a),
+            (a - a, QSeries(ring, {}, a.q_max)),
+        ]
+        if not a.is_zero and not b.is_zero:
+            routes.append((a * b, b * a))
+            routes.append(((a * b).truncated(2), (a.truncated(9) * b).truncated(2)))
+        if a.q_max is not None:
+            low = a.q_max - 1
+            routes.append((a.truncated(low), (a + QSeries(ring, {}, low)).truncated(low)))
+        half = _seeded_series(rng, ring) * F(1, 2)
+        routes.append(((half + half).exp(4), half.exp(4) * half.exp(4)))
+        for x, y in routes:
+            _stored(x), _stored(y)
+            assert x == y
+            q = _min_order(x, y)
+            assert _same_store(*((x, y) if q is None else (x.truncated(q), y.truncated(q))))
+        if not a.is_zero:  # equal numerators over another denominator
+            assert a * F(1, a._den + 1) != a and a != a * F(a._den + 1, a._den + 2)
+
+
+def test_constructor_rejects_bad_orders_and_coefficients():
+    r = _ring1()
+    with pytest.raises(TypeError, match="q_max must be an int, not float"):
+        QSeries(r, {0: r.one()}, 1.5)
+    with pytest.raises(TypeError, match="q_max must be an int, not bool"):
+        QSeries(r, {0: r.one()}, True)
+    with pytest.raises(TypeError, match=r"the coefficient of q\^0 must be a ChowElement, not int"):
+        QSeries(r, {0: 1})
+    with pytest.raises(TypeError, match=r"the coefficient of q\^-2 must be a ChowElement"):
+        QSeries(r, {1: r.one(), -2: F(1, 2)})
+    assert str(QSeries(r, {0: r.one(), 3: r.one()}, 2)) == "(1) + O(q^3)"
