@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import prod
+
+from .rings import _content, common_den
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,9 @@ def chain_solve(exponents) -> ChainData:
     charges[n - 1] = Fraction(1, a[n - 1])
     for j in range(n - 2, -1, -1):
         charges[j] = (1 - charges[j + 1]) / a[j]
-    d = lcm(*(c.denominator for c in charges))
+    d = common_den(c.denominator for c in charges)
     weights = tuple(int(c * d) for c in charges)
-    assert gcd(*weights, d) == 1
+    assert _content(d, (weights,)) == 1
     for j in range(n - 1):
         assert a[j] * weights[j] + weights[j + 1] == d
     assert a[n - 1] * weights[n - 1] == d

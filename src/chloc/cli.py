@@ -185,7 +185,7 @@ def _build_classes(doc: dict, ring: Ring) -> dict[str, KClass]:
         ch = [ring.zero() for _ in range(ring.truncation)]
         for key, expr in ch_map.items():
             kp = f"{p}.ch.{key}"
-            _require(key.isdigit() and int(key) >= 1, kp, "key must be a degree >= 1")
+            _require(key.isdecimal() and int(key) >= 1, kp, "key must be a degree >= 1")
             l = int(key)
             _require(l <= ring.truncation, kp, "degree exceeds the truncation order")
             _require(isinstance(expr, str), kp, "must be a class-expression string")
@@ -363,7 +363,7 @@ def _cmd_classes(args) -> int:
 
 
 def _non_negative_int(text: str) -> int:
-    if not text.isdigit():
+    if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
 

@@ -25,7 +25,9 @@ R_j = A_j - B_j.
 Hirzebruch-class side at t = exp(-q): whether the sides converge together,
 have the same limit, and whether each side's negative coefficients lie in
 the span of the other's degree by degree, on any ring (a test stricter
-than comparing the ideals they generate).
+than comparing the ideals they generate).  The span rows are read off each
+side's store by Chow degree (``QSeries._split``), as integer rows keyed by
+monomial index; no relation is built as a class.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from math import gcd
 
 from .chains import ChainData, weight_sequence
 from .charclasses import KClass, _weighted_product
-from .rings import ChowElement, Ring, _q_max_or, _require_int
+from .rings import ChowElement, Ring, _content, _q_max_or, _require_int
 from .series import QSeries
 
 WeightedClass = tuple[KClass, int]
@@ -220,20 +222,18 @@ def crosscheck_factors(
     rational span of the other's within each fixed Chow degree.
     """
     target = _q_max_or(q_max, ring.q_max)
-    D = ring.truncation
     # both sides have the rank factor prod (kq)^rank
     side_a = _weighted_product(ring, euler=factors)
     side_b = _weighted_product(ring, target, hirzebruch=factors)
 
-    neg_a = side_a.negative_part()
-    neg_b = side_b.negative_part()
-    conv_a, conv_b = not neg_a, not neg_b
+    conv_a, conv_b = side_a.is_convergent, side_b.is_convergent
     lim_a = side_a.coefficient(0) if conv_a else None
     lim_b = side_b.coefficient(0) if conv_b else None
 
+    neg_a, neg_b = _relation_rows(side_a), _relation_rows(side_b)
     failures: list[tuple[str, int, int]] = []
-    ok_ab = _spans_contained("euler", neg_a, neg_b, D, failures)
-    ok_ba = _spans_contained("hirzebruch", neg_b, neg_a, D, failures)
+    ok_ab = _spans_contained("euler", neg_a, neg_b, failures)
+    ok_ba = _spans_contained("hirzebruch", neg_b, neg_a, failures)
 
     return TautrelReport(
         side_euler=side_a,
@@ -251,14 +251,26 @@ def crosscheck_factors(
 # -- exact linear algebra over the monomial basis ------------------------------
 
 
-def _spans_contained(tag, neg_src, neg_dst, max_degree, failures) -> bool:
+def _relation_rows(side: QSeries) -> dict[int, list[tuple[int, dict[int, int]]]]:
+    """The nonzero degree-d parts of the coefficients at q^e, e < 0, as
+    {d: [(e, row)]} ascending in e: the series cut below q^0, split by
+    ``QSeries._split``, whose degree-d part holds the q^e coefficient at
+    r = e + d.  Each degree is scaled by its own content, which keeps every
+    span."""
+    scal, nil = side.truncated(-1)._split()
+    return {d: [(r - d, num[r]) for r in sorted(num)]
+            for d, (num, _) in [(0, scal), *nil.items()] if num}
+
+
+def _spans_contained(tag, src, dst, failures) -> bool:
+    """Whether each relation row of ``src`` lies in the span of the rows of
+    ``dst`` of its degree; each one that does not adds (tag, e, d) to
+    ``failures``, by ascending d, then e."""
     ok = True
-    dst = [c._graded_num() for _, c in neg_dst]
-    src = [(e, c._graded_num()) for e, c in neg_src]
-    for d in range(0, max_degree + 1):
-        rows = _row_reduce([parts[d] for parts in dst if d in parts])
-        for e, parts in src:
-            if d in parts and not _in_span(parts[d], rows):
+    for d in sorted(src):
+        rows = _row_reduce([row for _, row in dst.get(d, ())])
+        for e, row in src[d]:
+            if not _in_span(row, rows):
                 failures.append((tag, e, d))
                 ok = False
     return ok
@@ -283,7 +295,7 @@ def _reduce_against(v: dict[int, int], rows: list[tuple[int, dict[int, int]]]) -
             g = gcd(row[pivot], c)
             p, c = row[pivot] // g, c // g
             v = {m: s for m in v.keys() | row.keys() if (s := p * v.get(m, 0) - c * row.get(m, 0))}
-            g = gcd(*v.values())
+            g = _content(0, (v.values(),))
             if g > 1:
                 v = {m: x // g for m, x in v.items()}
     return v

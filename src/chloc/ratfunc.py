@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .rings import Scalar
+from .rings import Scalar, _content, common_den
 
 Mono2 = tuple[int, int]  # (z-exponent, q-exponent)
 
@@ -111,11 +111,9 @@ class BivarPoly:
         """Positive gcd of the coefficients (0 for the zero polynomial)."""
         if not self._terms:
             return Fraction(0)
-        from math import gcd, lcm
-
-        num = gcd(*(c.numerator for c in self._terms.values()))
-        den = lcm(*(c.denominator for c in self._terms.values()))
-        return Fraction(num, den)
+        coeffs = self._terms.values()
+        num = _content(0, ((c.numerator for c in coeffs),))
+        return Fraction(num, common_den(c.denominator for c in coeffs))
 
     # -- arithmetic ---------------------------------------------------------------
 

@@ -4,16 +4,18 @@ A :class:`Ring` is presented by named generators with positive integer
 degrees together with a truncation order ``D``: every monomial of total
 (weighted) degree above ``D`` is identically zero.
 
-An element stores integer numerators over one positive common denominator,
-the representation of FLINT's ``fmpq_poly``: ``_num`` maps a monomial index
-to a nonzero integer and ``_den`` is reduced against them, so that
-``gcd(_den, *_num.values()) == 1``.  Two elements are therefore equal
-exactly when their numerator maps and denominators are equal, and all
-arithmetic is exact integer arithmetic with one gcd per result.  The public
-methods (``items``, ``coefficient``, ``constant_term``) speak of exponent
-tuples and :class:`~fractions.Fraction` coefficients.  A :data:`Part` is
-the same store with one more key, the exponent of q: the coefficients of a
-series of :mod:`chloc.series`, reduced by :func:`reduce_part`.
+Every coefficient store here is a :data:`Part`: integer numerators keyed
+by (exponent of q, monomial index) over one positive denominator, the
+representation of FLINT's ``fmpq_poly``, reduced so that the denominator
+shares no factor with the numerators.  A series of :mod:`chloc.series` is
+one Part; an element of a ring is the Part at exponent 0, with ``_num``
+mapping a monomial index to a nonzero integer over ``_den``.  Two elements
+are therefore equal exactly when their numerator maps and denominators are
+equal.  Every store has one reduce (:func:`reduce_part`), one merge
+(:func:`add_parts`) and one product (:func:`mul_parts`), exact integer
+arithmetic with one gcd fold per result.  The public methods (``items``,
+``coefficient``, ``constant_term``) speak of exponent tuples and
+:class:`~fractions.Fraction` coefficients.
 
 Monomial indices are interned in one table per ring shape
 ``(degrees, truncation)``, held at module level and shared by every equal
@@ -170,6 +172,21 @@ def reduce_part(num: dict[int, dict[int, int]], den: int) -> Part:
     return num, den
 
 
+def add_parts(a: Part, b: Part, cutoff: int | None = None) -> Part:
+    """The reduced sum a + b on the lcm of the denominators, exponents above
+    cutoff dropped (None keeps all)."""
+    den = lcm(a[1], b[1])
+    out: dict[int, dict[int, int]] = {}
+    for num, d in (a, b):
+        f = den // d
+        for e, row in num.items():
+            if cutoff is None or e <= cutoff:
+                acc = out.setdefault(e, {})
+                for i, v in row.items():
+                    acc[i] = acc.get(i, 0) + v * f
+    return reduce_part(out, den)
+
+
 def mul_parts(table: _Monomials, a: Part, b: Part, cutoff: int | None) -> Part:
     """The reduced product a * b, exponents above cutoff dropped (None keeps all)."""
     acc: dict[int, dict[int, int]] = {}
@@ -270,16 +287,16 @@ class Ring:
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> "ChowElement":
-        return ChowElement._raw(self, {}, 1)
+        return ChowElement._of(self, ({}, 1))
 
     def one(self) -> "ChowElement":
-        return ChowElement._raw(self, {0: 1}, 1)
+        return ChowElement._of(self, ({0: {0: 1}}, 1))
 
     def const(self, c: Scalar) -> "ChowElement":
         c = _exact(c)
         if c == 0:
             return self.zero()
-        return ChowElement._raw(self, {0: c.numerator}, c.denominator)
+        return ChowElement._of(self, ({0: {0: c.numerator}}, c.denominator))
 
     def generator(self, name: str) -> "ChowElement":
         if name not in self._index:
@@ -288,7 +305,7 @@ class Ring:
         if self.degrees[i] > self.truncation:
             return self.zero()
         mono = tuple(1 if j == i else 0 for j in range(self.ngens))
-        return ChowElement._raw(self, {self._mono.intern(mono, self.degrees[i]): 1}, 1)
+        return ChowElement._of(self, ({0: {self._mono.intern(mono, self.degrees[i]): 1}}, 1))
 
     def gens(self) -> tuple["ChowElement", ...]:
         return tuple(self.generator(n) for n in self.names)
@@ -310,9 +327,8 @@ class Ring:
                 i = self._mono.intern(mono, d)
                 acc[i] = acc.get(i, 0) + c
         den = common_den(c.denominator for c in acc.values())
-        return ChowElement._reduced(
-            self, {i: c.numerator * (den // c.denominator) for i, c in acc.items()}, den
-        )
+        num = {i: c.numerator * (den // c.denominator) for i, c in acc.items()}
+        return ChowElement._of(self, reduce_part({0: num}, den))
 
     # -- monomial helpers ----------------------------------------------------
 
@@ -358,26 +374,18 @@ class ChowElement:
         self._den = elem._den
 
     @classmethod
-    def _raw(cls, ring: Ring, num: dict[int, int], den: int) -> "ChowElement":
-        # Internal fast path: num must be pruned of zeros and reduced
-        # against den > 0.
+    def _of(cls, ring: Ring, part: Part) -> "ChowElement":
+        """The class of a reduced Part held at exponent 0 (the zero class is ``({}, 1)``)."""
         self = object.__new__(cls)
         self.ring = ring
-        self._num = num
-        self._den = den
+        self._num = part[0].get(0, {})
+        self._den = part[1]
         return self
 
-    @classmethod
-    def _reduced(cls, ring: Ring, num: dict[int, int], den: int) -> "ChowElement":
-        """num / den with zero numerators pruned and the common factor removed."""
-        num = {i: v for i, v in num.items() if v}
-        if not num:
-            return cls._raw(ring, num, 1)
-        g = _content(den, (num.values(),))
-        if g != 1:
-            num = {i: v // g for i, v in num.items()}
-            den //= g
-        return cls._raw(ring, num, den)
+    @property
+    def _part(self) -> Part:
+        """The class as a Part at exponent 0."""
+        return {0: self._num} if self._num else {}, self._den
 
     # -- inspection ----------------------------------------------------------
 
@@ -400,17 +408,6 @@ class ChowElement:
     def constant_term(self) -> Fraction:
         return Fraction(self._num.get(0, 0), self._den)
 
-    def graded_parts(self) -> dict[int, "ChowElement"]:
-        """The nonzero homogeneous parts, keyed by degree, in one pass."""
-        return {d: self._reduced(self.ring, n, self._den) for d, n in self._graded_num().items()}
-
-    def _graded_num(self) -> dict[int, dict[int, int]]:
-        deg = self.ring._mono.degree
-        split: dict[int, dict[int, int]] = {}
-        for i, v in self._num.items():
-            split.setdefault(deg[i], {})[i] = v
-        return split
-
     def is_homogeneous(self, degree: int) -> bool:
         deg = self.ring._mono.degree
         return all(deg[i] == degree for i in self._num)
@@ -432,17 +429,13 @@ class ChowElement:
         if not isinstance(other, ChowElement):
             return NotImplemented
         self._check(other)
-        den = lcm(self._den, other._den)
-        f1, f2 = den // self._den, den // other._den
-        out = dict(self._num) if f1 == 1 else {i: v * f1 for i, v in self._num.items()}
-        for i, v in other._num.items():
-            out[i] = out.get(i, 0) + v * f2
-        return ChowElement._reduced(self.ring, out, den)
+        return ChowElement._of(self.ring, add_parts(self._part, other._part))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ChowElement._raw(self.ring, {i: -v for i, v in self._num.items()}, self._den)
+        neg = {0: {i: -v for i, v in self._num.items()}} if self._num else {}
+        return ChowElement._of(self.ring, (neg, self._den))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -460,15 +453,12 @@ class ChowElement:
             if not c:
                 return self.ring.zero()
             p = c.numerator
-            return ChowElement._reduced(
-                self.ring, {i: v * p for i, v in self._num.items()}, self._den * c.denominator
-            )
+            num = {0: {i: v * p for i, v in self._num.items()}}
+            return ChowElement._of(self.ring, reduce_part(num, self._den * c.denominator))
         if not isinstance(other, ChowElement):
             return NotImplemented
         self._check(other)
-        acc: dict[int, dict[int, int]] = {}
-        multiply_accumulate(self.ring._mono, acc, {0: self._num}, {0: other._num})
-        return ChowElement._reduced(self.ring, acc.get(0, {}), self._den * other._den)
+        return ChowElement._of(self.ring, mul_parts(self.ring._mono, self._part, other._part, None))
 
     __rmul__ = __mul__
 
@@ -478,14 +468,16 @@ class ChowElement:
         return NotImplemented
 
     def __pow__(self, n: int):
+        """By repeated squaring: O(log n) products."""
         if n < 0:
             raise ValueError("negative power of a Chow class")
-        out = self.ring.one()
-        base = self
-        for _ in range(n):
-            out = out * base
-            if out.is_zero:
-                break
+        out, base = self.ring.one(), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def exp(self) -> "ChowElement":

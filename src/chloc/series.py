@@ -28,12 +28,13 @@ Truncation bookkeeping:
 
 A series is stored as one reduced :data:`~chloc.rings.Part`: integer
 numerators keyed by (exponent, monomial index) over one positive
-denominator, as :mod:`chloc.rings` stores a class (FLINT's ``fmpq_poly``).
-A scalar series is the same store on monomial index 0.  A product of series
-is one call of the multiply-accumulate kernel of :mod:`chloc.rings` and one
-reduce of the whole result; a sum is one merge on the common denominator.
-Chow coefficients are built only when asked for (``coefficient``,
-``negative_part``, ``str``), each reduced on its own.
+denominator, the store of a class of :mod:`chloc.rings` (FLINT's
+``fmpq_poly``).  A scalar series is the same store on monomial index 0.  A
+product of series is one ``mul_parts`` (one call of the multiply-accumulate
+kernel and one reduce of the whole result), a sum one ``add_parts``, the
+merge that adds classes too.  Chow coefficients are built only when asked
+for (``coefficient``, ``negative_part``, ``str``), each reduced on its own;
+``_split`` reads the coefficients by Chow degree straight off the store.
 
 exp and invert work degree by degree in the Chow grading.  With A_j the
 Chow-degree-j part of the argument (A_0 its scalar part), E = exp(A) has
@@ -58,11 +59,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from math import factorial, lcm, perm
+from math import factorial, perm
 from typing import Callable
 
 from .rings import ChowElement, Part, Ring, Scalar, _exact, _q_max_or, _require_int
-from .rings import common_den, mul_parts, multiply_accumulate, reduce_part
+from .rings import add_parts, common_den, mul_parts, multiply_accumulate, reduce_part
 
 _ONE: Part = ({0: {0: 1}}, 1)
 
@@ -142,10 +143,7 @@ class QSeries:
     # -- inspection -------------------------------------------------------------
 
     def coefficient(self, e: int) -> ChowElement:
-        row = self._num.get(e)
-        if row is None:
-            return self.ring.zero()
-        return ChowElement._reduced(self.ring, row, self._den)
+        return ChowElement._of(self.ring, reduce_part({0: self._num.get(e, {})}, self._den))
 
     def exponents(self) -> list[int]:
         return sorted(self._num)
@@ -224,16 +222,8 @@ class QSeries:
             return NotImplemented
         self._check(o)
         q_max = min((x.q_max for x in (self, o) if x.q_max is not None), default=None)
-        den = lcm(self._den, o._den)
-        out: dict[int, dict[int, int]] = {}
-        for x in (self, o):
-            f = den // x._den
-            for e, row in x._num.items():
-                if q_max is None or e <= q_max:
-                    acc = out.setdefault(e, {})
-                    for i, v in row.items():
-                        acc[i] = acc.get(i, 0) + v * f
-        return QSeries._raw(self.ring, reduce_part(out, den), q_max)
+        part = add_parts((self._num, self._den), (o._num, o._den), q_max)
+        return QSeries._raw(self.ring, part, q_max)
 
     __radd__ = __add__
 

@@ -40,6 +40,7 @@ from chloc.charclasses import (
     _hirzebruch_table,
     _todd_rows,
 )
+from chloc.rings import reduce_part
 from chloc.sampling import sample_kclass, sample_ring, sample_weight
 from chloc.series import scalar_series
 
@@ -468,18 +469,18 @@ def test_warm_identity_check_builds_no_class_per_coefficient(monkeypatch):
     for x, k in cases:
         assert euler_identity_check(x, k, 14).equal
     calls = []
-    reduced, add = ChowElement._reduced.__func__, ChowElement.__add__
+    of, add = ChowElement._of.__func__, ChowElement.__add__
 
-    def counting_reduced(cls, ring, num, den):
+    def counting_of(cls, ring, part):
         if sys._getframe(1).f_globals["__name__"] == "chloc.series":
             calls.append("series reduce")
-        return reduced(cls, ring, num, den)
+        return of(cls, ring, part)
 
     def counting_add(self, other):
         calls.append("class add")
         return add(self, other)
 
-    monkeypatch.setattr(ChowElement, "_reduced", classmethod(counting_reduced))
+    monkeypatch.setattr(ChowElement, "_of", classmethod(counting_of))
     monkeypatch.setattr(ChowElement, "__add__", counting_add)
     for x, k in cases:
         assert euler_identity_check(x, k, 14).equal
@@ -739,7 +740,7 @@ def _argument_view(ring, q_max, scal, parts):
     got = {e: {(0,) * ring.ngens: v} for e, v in _scalars_of(scal).items()}
     for l, (num, den) in parts.items():
         for e, row in num.items():
-            c = ChowElement._reduced(ring, row, den)
+            c = ChowElement._of(ring, reduce_part({0: row}, den))
             assert c and c.is_homogeneous(l) and (q_max is None or e <= q_max)
             got.setdefault(e, {}).update(c.items())
     return got

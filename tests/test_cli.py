@@ -325,6 +325,19 @@ def test_boolean_integer_field_exit_1(tmp_path, capsys, mode, job, path):
     assert captured.err.startswith(f"chloc: schema error at {path}:")
 
 
+@pytest.mark.parametrize("key", ["0", "x", "\u00b2"])
+def test_bad_ch_key_reports_path(tmp_path, capsys, key):
+    # "\u00b2" (superscript two) passes str.isdigit() but not int()
+    doc = {**_BOOL_BASE, "classes": [{"name": "L", "rank": 1, "ch": {key: "x"}}], "job": _PAIRS}
+    f = tmp_path / "job.json"
+    f.write_text(json.dumps(doc))
+    code = cli.main(["classes", "identity", "--job", str(f)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert f"classes[0].ch.{key}" in captured.err
+
+
 # Runs each argv list read from stdin as ``python -m chloc`` would, in one
 # interpreter so that hundreds of runs stay cheap, and prints one
 # [exit code, stderr] pair per run.

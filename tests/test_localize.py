@@ -1,4 +1,5 @@
 import gc
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from itertools import islice
@@ -7,6 +8,7 @@ from random import Random
 import pytest
 
 from chloc import (
+    ChowElement,
     KClass,
     LocInput,
     QSeries,
@@ -341,6 +343,49 @@ def test_spans_agree_with_fraction_oracle():
     assert divergent >= 300 and failing >= 60
 
 
+def _crosscheck_shapes():
+    """The crosscheck shapes of the localize benchmark: criterion 7's first
+    draws and rigged line-bundle inputs, as (ring, factors)."""
+    cases = list(islice(_span_sweep_inputs(), 5))
+    for i in (3, 8, 13, 18):
+        ring = Ring([("x", 1)], 1 + i % 4)
+        factors = [(-line_bundle(ring.generator("x") * (1 + i % 3)), (-1) ** i * (1 + i % 2))]
+        if i % 2:
+            factors.append((KClass.trivial(ring, i % 3), 1))
+        cases.append((ring, factors))
+    return cases
+
+
+def test_warm_crosscheck_builds_no_class_per_relation(monkeypatch):
+    """The span test reads each side's relations off its store by Chow
+    degree, so a warm crosscheck round builds, on behalf of chloc.localize,
+    only the classes of the limits it reports.  Reading the relations
+    through negative_part built one class per negative coefficient too."""
+    cases = _crosscheck_shapes()
+    for ring, factors in cases:
+        crosscheck_factors(ring, factors)
+    built = []
+    of = ChowElement._of.__func__
+
+    def counting_of(cls, ring, part):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] in ("chloc.rings", "chloc.series"):
+            frame = frame.f_back
+        if frame.f_globals["__name__"] == "chloc.localize":
+            built.append(frame.f_code.co_name)
+        return of(cls, ring, part)
+
+    monkeypatch.setattr(ChowElement, "_of", classmethod(counting_of))
+    limits = relations = 0
+    for ring, factors in cases:
+        rep = crosscheck_factors(ring, factors)
+        limits += (rep.limit_euler is not None) + (rep.limit_hirzebruch is not None)
+        relations += sum(e < 0 for s in (rep.side_euler, rep.side_hirzebruch)
+                         for e in s.exponents())
+    assert relations > 0
+    assert built == ["crosscheck_factors"] * limits
+
+
 def test_crosscheck_heap_stays_flat():
     """Warm crosscheck rounds do not grow the traced heap.  Combining
     denominators with lcm(*generator) resizes the argument tuple, which
@@ -349,13 +394,7 @@ def test_crosscheck_heap_stays_flat():
     against 0.4 KiB without.  A full collection empties the free lists
     first, and the collector stays off so that none empties them while the
     growth is measured."""
-    cases = list(islice(_span_sweep_inputs(), 5))  # criterion 7's first draws
-    for i in (3, 8, 13, 18):
-        ring = Ring([("x", 1)], 1 + i % 4)
-        factors = [(-line_bundle(ring.generator("x") * (1 + i % 3)), (-1) ** i * (1 + i % 2))]
-        if i % 2:
-            factors.append((KClass.trivial(ring, i % 3), 1))
-        cases.append((ring, factors))
+    cases = _crosscheck_shapes()
 
     def rounds(n):
         for _ in range(n):

