@@ -63,7 +63,7 @@ from math import comb, factorial, inf, lcm, prod
 from typing import Callable, Iterable, Sequence
 
 from .rings import ChowElement, Part, Ring, _q_max_or, _require_int, common_den, mul_parts
-from .rings import reduce_part
+from .rings import power, reduce_part
 from .series import QSeries, _exp, _order, compute_at_precision, scalar_invert, scalar_series
 
 # psi_0..psi_D, psi_l = q^l phi_l for the series phi_l multiplying Ch_l (Ch_0 = rank)
@@ -434,9 +434,8 @@ def hirzebruch_class(t, x: KClass, q_max: int | None = None):
     order = t.q_max
     out_order = min(_q_max_or(q_max, order), order)
     one_minus = QSeries._raw(ring, one_minus, order)
-    factor, rank = one_minus if x.rank >= 0 else one_minus.invert(order), QSeries.one(ring)
-    for _ in range(abs(x.rank)):
-        rank = rank * factor
+    factor = one_minus if x.rank >= 0 else one_minus.invert(order)
+    rank = power(QSeries.one(ring), factor, abs(x.rank))
     scal, nil = _argument(ring, [(x, 1, table)])
     exp = _exp(ring, scal, nil, _order(ring, nil, out_order, valid, 0, -1))
     return rank.truncated(out_order) * exp

@@ -21,14 +21,7 @@ import math
 import sys
 from random import Random
 
-from .chains import chain_solve, grading_element, is_calabi_yau, weight_sequence
-from .charclasses import KClass, euler_identity_check
-from .classexpr import parse_class_expr
-from .ifunction import i_coefficient, nonequivariant_limit, picard_fuchs_check
-from .localize import LocInput, crosscheck_factors, hodge_product, localization_product
-from .rings import Ring
-from .sampling import sample_kclass, sample_weight
-from .series import NotConvergentError
+from . import chains, charclasses, classexpr, ifunction, localize, rings, sampling, series
 
 
 class JobError(ValueError):
@@ -54,17 +47,17 @@ def _tuple_str(values) -> str:
 
 
 def _cmd_chain_analyze(args) -> int:
-    chain = chain_solve(args.exponents)
+    chain = chains.chain_solve(args.exponents)
     lines = [
         f"chain: {chain.polynomial_str()}",
         f"exponents: {_tuple_str(chain.exponents)}",
         f"weights: {_tuple_str(chain.weights)}",
         f"degree: {chain.degree}",
         f"charges: {_tuple_str(chain.charges)}",
-        f"calabi_yau: {_flag(is_calabi_yau(chain))}",
+        f"calabi_yau: {_flag(chains.is_calabi_yau(chain))}",
         f"aut_order: {math.prod(chain.exponents)}",
-        f"grading_element: {grading_element(chain)}",
-        f"q_weights: {_tuple_str(weight_sequence(chain))}",
+        f"grading_element: {chains.grading_element(chain)}",
+        f"q_weights: {_tuple_str(chains.weight_sequence(chain))}",
     ]
     print("\n".join(lines))
     return 0
@@ -74,8 +67,8 @@ def _cmd_chain_analyze(args) -> int:
 
 
 def _cmd_ifunction(args) -> int:
-    chain = chain_solve(args.exponents)
-    if not is_calabi_yau(chain):
+    chain = chains.chain_solve(args.exponents)
+    if not chains.is_calabi_yau(chain):
         raise ValueError(
             f"chain {_tuple_str(chain.exponents)} is not Calabi-Yau "
             f"(degree {chain.degree} != weight sum {sum(chain.weights)})"
@@ -87,14 +80,14 @@ def _cmd_ifunction(args) -> int:
         f"  weights {_tuple_str(chain.weights)}"
     ]
     for k in range(1, args.k_max + 1):
-        ic = i_coefficient(chain, k)
+        ic = ifunction.i_coefficient(chain, k)
         kind = "broad" if ic.is_broad else "narrow"
         lines.append(f"I_{k} = {ic.value}  [sector {ic.sector}, {kind}]")
         if args.limit:
-            lines.append(f"limit I_{k} = {nonequivariant_limit(ic)}")
+            lines.append(f"limit I_{k} = {ifunction.nonequivariant_limit(ic)}")
     status = 0
     if args.verify_pf:
-        report = picard_fuchs_check(chain, args.k_max + chain.degree)
+        report = ifunction.picard_fuchs_check(chain, args.k_max + chain.degree)
         for item in report.items:
             if item.ok:
                 lines.append(f"pf t^{item.m}: pass")
@@ -133,7 +126,7 @@ def _load_job(path: str) -> dict:
     return doc
 
 
-def _build_ring(doc: dict, q_max_flag: int | None) -> Ring:
+def _build_ring(doc: dict, q_max_flag: int | None) -> rings.Ring:
     _require("chow" in doc, "chow", "missing section")
     chow = doc["chow"]
     _require(isinstance(chow, dict), "chow", "must be an object")
@@ -163,13 +156,13 @@ def _build_ring(doc: dict, q_max_flag: int | None) -> Ring:
             _is_int(q_max) and q_max >= 0, "chow.q_max", "must be a non-negative integer"
         )
     try:
-        return Ring(pairs, trunc, q_max)
+        return rings.Ring(pairs, trunc, q_max)
     except ValueError as exc:
         raise JobError("chow", str(exc)) from exc
 
 
-def _build_classes(doc: dict, ring: Ring) -> dict[str, KClass]:
-    out: dict[str, KClass] = {}
+def _build_classes(doc: dict, ring: rings.Ring) -> dict[str, charclasses.KClass]:
+    out: dict[str, charclasses.KClass] = {}
     entries = doc.get("classes", [])
     _require(isinstance(entries, list), "classes", "must be a list")
     for i, entry in enumerate(entries):
@@ -190,19 +183,19 @@ def _build_classes(doc: dict, ring: Ring) -> dict[str, KClass]:
             _require(l <= ring.truncation, kp, "degree exceeds the truncation order")
             _require(isinstance(expr, str), kp, "must be a class-expression string")
             try:
-                ch[l - 1] = parse_class_expr(expr, ring)
+                ch[l - 1] = classexpr.parse_class_expr(expr, ring)
             except ValueError as exc:
                 raise JobError(kp, str(exc)) from exc
         try:
-            out[name] = KClass(ring, rank, ch)
+            out[name] = charclasses.KClass(ring, rank, ch)
         except ValueError as exc:
             raise JobError(p, str(exc)) from exc
     return out
 
 
-def _resolve_class(name, classes: dict[str, KClass], ring: Ring, path: str) -> KClass:
+def _resolve_class(name, classes: dict, ring: rings.Ring, path: str) -> charclasses.KClass:
     if name is None:
-        return KClass.zero(ring)
+        return charclasses.KClass.zero(ring)
     _require(isinstance(name, str), path, "must be a class name")
     _require(name in classes, path, f"unresolved class name {name!r}")
     return classes[name]
@@ -213,7 +206,7 @@ def _weight(value, path: str) -> int:
     return value
 
 
-def _weighted_list(doc, classes, ring, path) -> list[tuple[KClass, int]]:
+def _weighted_list(doc, classes, ring, path) -> list[tuple[charclasses.KClass, int]]:
     _require(isinstance(doc, list), path, "must be a list")
     out = []
     for i, item in enumerate(doc):
@@ -225,13 +218,13 @@ def _weighted_list(doc, classes, ring, path) -> list[tuple[KClass, int]]:
     return out
 
 
-def _sampled(job: dict, ring: Ring) -> list[tuple[KClass, int]]:
+def _sampled(job: dict, ring: rings.Ring) -> list[tuple[charclasses.KClass, int]]:
     """``job.count`` weighted classes drawn from ``Random(job.seed)``."""
     _require(_is_int(job.get("seed")), "job.seed", "must be an integer")
     count = job.get("count")
     _require(_is_int(count) and count > 0, "job.count", "must be a positive integer")
     rng = Random(job["seed"])
-    return [(sample_kclass(rng, ring), sample_weight(rng)) for _ in range(count)]
+    return [(sampling.sample_kclass(rng, ring), sampling.sample_weight(rng)) for _ in range(count)]
 
 
 def _flag(value: bool) -> str:
@@ -246,7 +239,7 @@ def _series_lines(result) -> list[str]:
     return lines
 
 
-def _classes_identity(job: dict, ring: Ring, classes: dict, chain) -> tuple[list[str], int]:
+def _classes_identity(job: dict, ring: rings.Ring, classes: dict, chain) -> tuple[list[str], int]:
     if "pairs" in job:
         pairs = _weighted_list(job["pairs"], classes, ring, "job.pairs")
         _require(bool(pairs), "job.pairs", "must name at least one pair")
@@ -255,7 +248,7 @@ def _classes_identity(job: dict, ring: Ring, classes: dict, chain) -> tuple[list
         items = [(f"sample[{i}]@{w}", x, w) for i, (x, w) in enumerate(_sampled(job, ring))]
     lines, good = [], 0
     for label, x, w in items:
-        check = euler_identity_check(x, w)
+        check = charclasses.euler_identity_check(x, w)
         if check.equal:
             good += 1
             lines.append(f"identity {label}: equal")
@@ -265,7 +258,7 @@ def _classes_identity(job: dict, ring: Ring, classes: dict, chain) -> tuple[list
     return lines, 0 if good == len(items) else 2
 
 
-def _classes_hodge(job: dict, ring: Ring, classes: dict, chain) -> tuple[list[str], int]:
+def _classes_hodge(job: dict, ring: rings.Ring, classes: dict, chain) -> tuple[list[str], int]:
     hodge = _resolve_class(job.get("hodge"), classes, ring, "job.hodge")
     if chain is not None and "pushed_names" in job:
         names = job["pushed_names"]
@@ -275,44 +268,44 @@ def _classes_hodge(job: dict, ring: Ring, classes: dict, chain) -> tuple[list[st
             for i, nm in enumerate(names)
         ]
         try:
-            inp = LocInput.for_chain(ring, hodge, pushed_cls, chain)
+            inp = localize.LocInput.for_chain(ring, hodge, pushed_cls, chain)
         except ValueError as exc:
             raise JobError("job", str(exc)) from exc
     else:
         pushed = _weighted_list(job.get("pushed", []), classes, ring, "job.pushed")
         hw = _weight(job.get("hodge_weight"), "job.hodge_weight")
         try:
-            inp = LocInput(ring=ring, hodge=hodge, hodge_weight=hw, pushed=tuple(pushed))
+            inp = localize.LocInput(ring=ring, hodge=hodge, hodge_weight=hw, pushed=tuple(pushed))
         except ValueError as exc:
             raise JobError("job", str(exc)) from exc
-    result = hodge_product(inp)
+    result = localize.hodge_product(inp)
     return _series_lines(result), 0 if result.convergent else 2
 
 
-def _classes_general(job: dict, ring: Ring, classes: dict, chain) -> tuple[list[str], int]:
+def _classes_general(job: dict, ring: rings.Ring, classes: dict, chain) -> tuple[list[str], int]:
     hodge = _resolve_class(job.get("hodge"), classes, ring, "job.hodge")
     hw = _weight(job.get("hodge_weight"), "job.hodge_weight")
     v, t, n = (_weighted_list(job.get(key, []), classes, ring, f"job.{key}") for key in "vtn")
     try:
-        result = localization_product(hodge, hw, v, t, n)
+        result = localize.localization_product(hodge, hw, v, t, n)
     except ValueError as exc:
         raise JobError("job", str(exc)) from exc
     return _series_lines(result), 0 if result.convergent else 2
 
 
-def _classes_tautrel(job: dict, ring: Ring, classes: dict, chain) -> tuple[list[str], int]:
+def _classes_tautrel(job: dict, ring: rings.Ring, classes: dict, chain) -> tuple[list[str], int]:
     if "factors" in job:
         factors = _weighted_list(job["factors"], classes, ring, "job.factors")
         _require(bool(factors), "job.factors", "must name at least one factor")
     else:
         factors = _sampled(job, ring)
-    report = crosscheck_factors(ring, factors)
+    report = localize.crosscheck_factors(ring, factors)
     lines = [
         f"euler_convergent: {_flag(report.euler_convergent)}",
         f"hirzebruch_convergent: {_flag(report.hirzebruch_convergent)}",
     ]
-    for side, series in (("euler", report.side_euler), ("hirzebruch", report.side_hirzebruch)):
-        lines += [f"relation {side} {e} {c}" for e, c in series.negative_part()]
+    for side, values in (("euler", report.side_euler), ("hirzebruch", report.side_hirzebruch)):
+        lines += [f"relation {side} {e} {c}" for e, c in values.negative_part()]
     if report.limits_equal is None:
         lines.append("limits_equal: n/a")
     else:
@@ -344,7 +337,7 @@ def _cmd_classes(args) -> int:
         for i, a in enumerate(doc["chain"]):
             _require(_is_int(a), f"chain[{i}]", "must be an integer")
         try:
-            chain = chain_solve(doc["chain"])
+            chain = chains.chain_solve(doc["chain"])
         except ValueError as exc:
             raise JobError("chain", str(exc)) from exc
     job = doc.get("job", {})
@@ -404,7 +397,7 @@ def main(argv=None) -> int:
     except JobError as exc:
         print(f"chloc: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, ArithmeticError, NotConvergentError) as exc:
+    except (ValueError, KeyError, ArithmeticError, series.NotConvergentError) as exc:
         print(f"chloc: error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .chains import ChainData, weight_sequence
+from . import chains
 from .charclasses import KClass, _weighted_product
 from .rings import ChowElement, Ring, _content, _q_max_or, _require_int
 from .series import QSeries
@@ -58,7 +58,7 @@ class LocInput:
     hodge: KClass
     hodge_weight: int
     pushed: tuple[WeightedClass, ...]
-    chain: ChainData | None = None
+    chain: chains.ChainData | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "pushed", tuple(self.pushed))
@@ -74,7 +74,7 @@ class LocInput:
             if k == 0:
                 raise ValueError("weights must be nonzero")
         if self.chain is not None:
-            kw = weight_sequence(self.chain)
+            kw = chains.weight_sequence(self.chain)
             n = self.chain.n_variables
             if len(self.pushed) != n:
                 raise ValueError("chain expects one pushed class per variable")
@@ -85,9 +85,9 @@ class LocInput:
 
     @classmethod
     def for_chain(
-        cls, ring: Ring, hodge: KClass, pushed: list[KClass], chain: ChainData
+        cls, ring: Ring, hodge: KClass, pushed: list[KClass], chain: chains.ChainData
     ) -> "LocInput":
-        kw = weight_sequence(chain)
+        kw = chains.weight_sequence(chain)
         return cls(
             ring=ring,
             hodge=hodge,

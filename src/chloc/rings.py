@@ -43,6 +43,8 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import series  # the series layer builds on this one; it runs on first use
+
 Monomial = tuple[int, ...]
 Scalar = int | Fraction
 
@@ -192,6 +194,18 @@ def mul_parts(table: _Monomials, a: Part, b: Part, cutoff: int | None) -> Part:
     acc: dict[int, dict[int, int]] = {}
     multiply_accumulate(table, acc, a[0], b[0], 1, cutoff)
     return reduce_part(acc, a[1] * b[1])
+
+
+def power(one, base, n: int):
+    """base ** n for n >= 0 by repeated squaring: O(log n) products."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 def multiply_accumulate(table: _Monomials, acc: dict, x: dict, y: dict, f: int = 1,
@@ -471,31 +485,20 @@ class ChowElement:
         """By repeated squaring: O(log n) products."""
         if n < 0:
             raise ValueError("negative power of a Chow class")
-        out, base = self.ring.one(), self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self.ring.one(), self, n)
 
     def exp(self) -> "ChowElement":
         """exp(x) for x with a vanishing constant term (so x is nilpotent),
         by the Chow-degree recurrence of :mod:`chloc.series` at q^0."""
         if self.constant_term:
             raise ValueError("exp requires a class with zero constant term")
-        from .series import QSeries  # the series layer builds on this module
-
-        return QSeries.constant(self).exp().coefficient(0)
+        return series.QSeries.constant(self).exp().coefficient(0)
 
     def inverse(self) -> "ChowElement":
         """Multiplicative inverse by the same recurrence; needs a nonzero constant term."""
         if not self.constant_term:
             raise ValueError("not invertible: zero constant term")
-        from .series import QSeries
-
-        return QSeries.constant(self).invert().coefficient(0)
+        return series.QSeries.constant(self).invert().coefficient(0)
 
     # -- comparison / display -----------------------------------------------
 

@@ -1,7 +1,7 @@
 import sys
 from fractions import Fraction as F
 from functools import partial
-from math import factorial
+from math import factorial, log2
 from pathlib import Path
 from random import Random
 
@@ -287,6 +287,47 @@ def test_hirzebruch_formal_at_low_order_agrees_with_a_deep_t():
         for order in range(1, ring.truncation + 3):
             low = hirzebruch_class(q_exponential(ring, -k, order), x)
             assert low.q_max < deep.q_max and low == deep, (ring, x, k, order)
+
+
+def _power_by_loop(one, base, n):
+    for _ in range(n):
+        one = one * base
+    return one
+
+
+def test_hirzebruch_rank_factor_by_squaring_matches_the_loop(monkeypatch):
+    # (1 - t)^rank by repeated squaring: the same coefficients and the same
+    # reported order as multiplying the factor in once per unit of rank
+    rng = Random(2026)
+    cases = []
+    for rank in range(-12, 13):
+        ring = sample_ring(rng, max_truncation=3)
+        x = sample_kclass(rng, ring, rank_min=rank, rank_max=rank)
+        k = sample_weight(rng)
+        for order in (1, 2, 5, 9):
+            for q_max in (None, order - 3):
+                cases.append((x, q_exponential(ring, -k, order), q_max))
+    squared = [hirzebruch_class(t, x, q_max) for x, t, q_max in cases]
+    monkeypatch.setattr(charclasses, "power", _power_by_loop)
+    for (x, t, q_max), got in zip(cases, squared):
+        want = hirzebruch_class(t, x, q_max)
+        assert got.q_max == want.q_max and got == want, (x, t.q_max, q_max)
+
+
+@pytest.mark.parametrize("rank", [20_000, -20_000])
+def test_hirzebruch_rank_factor_takes_logarithmically_many_products(monkeypatch, rank):
+    r, a = _line_ring(2)
+    calls = [0]
+    mul = QSeries.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting)
+    x = KClass(r, rank, [a, r.zero()])
+    hirzebruch_class(q_exponential(r, -1, 4), x)
+    assert 0 < calls[0] <= 2 * log2(abs(rank)) + 2
 
 
 # -- equivariant Euler class ------------------------------------------------------------

@@ -228,7 +228,7 @@ def test_computation_errors_exit_1(monkeypatch, capsys, error):
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "localization_product", fail)
+    monkeypatch.setattr(cli.localize, "localization_product", fail)
     code = cli.main(["classes", "general", "--job", str(GOLDEN / "job_general.json")])
     captured = capsys.readouterr()
     assert code == 1
